@@ -102,14 +102,14 @@ def _load_doc(arg):
 
 
 def _require_index(args):
-    if args.index is None:
-        raise InputError("this command needs --index", "--index")
+    if args.index is None or args.index < 0:
+        raise InputError("this command needs --index >= 0", "--index")
     return args.index
 
 
 def _require_stratum(args):
-    if args.stratum is None:
-        raise InputError("this command needs --stratum", "--stratum")
+    if args.stratum is None or args.stratum < 1:
+        raise InputError("this command needs --stratum >= 1", "--stratum")
     return args.stratum
 
 
@@ -198,55 +198,60 @@ def _int_field(doc, key, path, default=None):
 
 def _cmd_fitt(args):
     M = PresentationMatrix.from_dict(_load_doc(args.inp))
+    i = _require_index(args)
     if args.K is not None:
+        if args.K < 1:
+            raise InputError("--K must be >= 1", "--K")
         M = M.reduce_precision(args.K)
-    result = fitting_ideal(M, _require_index(args))
+    result = fitting_ideal(M, i)
     payload = result.to_dict()
     payload.pop("index", None)
     return payload, True, f"p={M.ring.p} K={M.ring.K}"
 
 
-def _ideal_of(doc, key=None):
-    sub = doc.get(key, doc) if key else doc.get("ideal", doc)
-    return LambdaIdealFactored.from_dict(sub)
+def _ideal_of(doc):
+    """The ideal a document carries, and its p (the unit ideal has no basis)."""
+    sub = doc.get("ideal", doc)
+    return LambdaIdealFactored.from_dict(sub), sub.get("p", 3)
 
 
 def _cmd_ideal_ord(args):
     doc = _load_doc(args.inp)
-    I = _ideal_of(doc)
-    P = _prime_from(doc, "prime", I.basis[0].p, "$.prime")
-    return {"ord": ord_at_prime(I, P)}, True, f"p={I.basis[0].p}"
+    I, p = _ideal_of(doc)
+    P = _prime_from(doc, "prime", p, "$.prime")
+    return {"ord": ord_at_prime(I, P)}, True, f"p={p}"
 
 
 def _two_ideals(args):
     doc = _load_doc(args.inp)
     if "left" not in doc or "right" not in doc:
         raise InputError("need 'left' and 'right' ideal objects", "$")
+    left = doc["left"]
     return (
-        LambdaIdealFactored.from_dict(doc["left"]),
+        LambdaIdealFactored.from_dict(left),
         LambdaIdealFactored.from_dict(doc["right"]),
+        left.get("p", 3),
     )
 
 
 def _cmd_ideal_prec(args):
-    I, J = _two_ideals(args)
-    return {"prec": prec_leq(I, J)}, True, f"p={I.basis[0].p}"
+    I, J, p = _two_ideals(args)
+    return {"prec": prec_leq(I, J)}, True, f"p={p}"
 
 
 def _cmd_ideal_sim(args):
-    I, J = _two_ideals(args)
-    return {"sim": sim(I, J)}, True, f"p={I.basis[0].p}"
+    I, J, p = _two_ideals(args)
+    return {"sim": sim(I, J)}, True, f"p={p}"
 
 
 def _cmd_ideal_principal(args):
-    I = _ideal_of(_load_doc(args.inp))
-    return {"class": class_of(I).to_dict()}, True, f"p={I.basis[0].p}"
+    I, p = _ideal_of(_load_doc(args.inp))
+    return {"class": class_of(I).to_dict()}, True, f"p={p}"
 
 
 def _cmd_ideal_sqrt(args):
-    I = _ideal_of(_load_doc(args.inp))
-    root = pseudo_square_root(I)
-    return {"class": root.to_dict()}, True, f"p={I.basis[0].p}"
+    I, p = _ideal_of(_load_doc(args.inp))
+    return {"class": pseudo_square_root(I).to_dict()}, True, f"p={p}"
 
 
 def _module_of(doc, key=None):

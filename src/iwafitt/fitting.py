@@ -8,19 +8,22 @@ R^cols -> R^rows it describes. Three coefficient rings are supported:
   an entry of valuation K is merely indistinguishable from zero);
 * ``lambda``: the truncated two-variable ring from :mod:`iwafitt.ring`.
 
-Fitting ideals are computed by enumerating minors. Over the two
-principal kinds an ideal is an exponent a, meaning (p^a); the string
-marker ``"full"`` stands for the zero ideal at precision, where every
-minor sits above what precision K can see. Over the series ring the
-ideal is returned as a raw deduplicated generator list and any further
-normalization is left to the ideal calculus layer. The DVR kind also
-gets a Smith normal form with transformation certificates, and the
-elementary-divisor reading of a torsion cokernel.
+Over the two principal kinds a Fitting ideal is an exponent a, meaning
+(p^a), read from the Smith normal form (a certified diagonalization by
+elementary operations): the sum of the r smallest invariant exponents,
+capped at K. The string marker ``"full"`` stands for the dvr zero ideal
+at precision, where every minor sits above what precision K can see.
+Over the series ring the ideal is the raw deduplicated list of minors,
+and any further normalization is left to the ideal calculus layer. One
+memoized minor enumerator serves the series ring and the slow
+principal-kind oracle ``minor_fitting_exponent``. The DVR kind also gets
+the elementary-divisor reading of a torsion cokernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError, InsufficientPrecision, NotTorsion, RingMismatch
 from .ring import TruncatedSeries, padic_valuation
@@ -216,49 +219,13 @@ class FittingIdealResult:
         return {"index": self.index, "exponent": self.exponent}
 
 
-def _int_minor_minimum(entries, n, k, r, p, K):
-    """Min valuation over all r x r minors, with a memoized Laplace pass.
+def _minors(M: PresentationMatrix, r: int, one, zero):
+    """Yield every r x r minor of M, row subsets outer, column subsets inner.
 
-    Determinants are taken over Z (exact) and only reduced for the
-    valuation read; the memo is keyed on (row-subset, col-subset).
-    Returns K when every minor is at the precision floor.
+    Laplace expansion along the first row, memoized on (row-subset,
+    col-subset), over any ring with +, - and *; integers stay exact.
     """
-    from itertools import combinations
-
-    memo = {}
-
-    def det(rs, cs):
-        if not rs:
-            return 1
-        key = (rs, cs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r0 = rs[0]
-        total = 0
-        for idx, c in enumerate(cs):
-            a = entries[r0][c]
-            if a:
-                sub = det(rs[1:], cs[:idx] + cs[idx + 1 :])
-                total += (a if idx % 2 == 0 else -a) * sub
-        memo[key] = total
-        return total
-
-    best = K
-    for rs in combinations(range(n), r):
-        for cs in combinations(range(k), r):
-            v = padic_valuation(p, det(rs, cs), K)
-            if v < best:
-                best = v
-                if best == 0:
-                    return 0
-    return best
-
-
-def _series_minor_generators(entries, n, k, r, p, K, m):
-    from itertools import combinations
-
-    one = TruncatedSeries.one(p, K, m)
+    entries = M.entries
     memo = {}
 
     def det(rs, cs):
@@ -269,28 +236,66 @@ def _series_minor_generators(entries, n, k, r, p, K, m):
         if hit is not None:
             return hit
         r0 = rs[0]
-        total = TruncatedSeries.zero(p, K, m)
+        total = zero
         for idx, c in enumerate(cs):
             a = entries[r0][c]
-            if not a.is_zero():
-                sub = det(rs[1:], cs[:idx] + cs[idx + 1 :])
-                term = a * sub
+            if a != zero:
+                term = a * det(rs[1:], cs[:idx] + cs[idx + 1 :])
                 total = total + term if idx % 2 == 0 else total - term
         memo[key] = total
         return total
 
-    gens = []
-    seen = set()
-    for rs in combinations(range(n), r):
-        for cs in combinations(range(k), r):
-            g = det(rs, cs)
-            if g.is_unit():
-                return (one,)
-            if g.is_zero() or g.coeffs in seen:
-                continue
-            seen.add(g.coeffs)
-            gens.append(g)
-    return tuple(gens)
+    for rs in combinations(range(M.rows), r):
+        for cs in combinations(range(M.cols), r):
+            yield det(rs, cs)
+
+
+def _minor_valuation(M: PresentationMatrix, r: int) -> int:
+    """Min valuation over all r x r minors; K when all sit at the floor."""
+    p, K = M.ring.p, M.ring.K
+    best = K
+    for d in _minors(M, r, 1, 0):
+        best = min(best, padic_valuation(p, d, K))
+        if best == 0:
+            break
+    return best
+
+
+def _smith_valuation(M: PresentationMatrix, r: int) -> int:
+    """Sum of the r smallest invariant exponents, capped at K."""
+    exps = smith_normal_form(M, allow_zero_block=True).exponents
+    return min(M.ring.K, sum(exps[:r]))
+
+
+def _check_index(i) -> None:
+    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+        raise RingMismatch(f"Fitting index must be a non-negative integer, got {i!r}")
+
+
+def _principal_exponent(M: PresentationMatrix, i: int, valuation):
+    """Exponent a of the ideal (p^a), "full" for the dvr zero ideal.
+
+    ``valuation(M, r)`` is asked only for 0 < r <= min(rows, cols).
+    """
+    ring = M.ring
+    r = M.rows - i
+    if r <= 0:
+        v = 0
+    elif r > min(M.rows, M.cols):
+        v = ring.K
+    else:
+        v = valuation(M, r)
+    return "full" if v >= ring.K and ring.kind == "dvr" else v
+
+
+def minor_fitting_exponent(M: PresentationMatrix, i: int):
+    """The principal-kind Fitting exponent read off every (rows - i)-minor.
+
+    Exponential in the matrix size, and independent of the Smith form:
+    the slow oracle that ``fitting_ideal`` is checked against.
+    """
+    _check_index(i)
+    return _principal_exponent(M, i, _minor_valuation)
 
 
 def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
@@ -299,36 +304,36 @@ def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
     Generated by the (rows - i)-minors, with the order-0 minor taken to
     be 1 (so the ideal is the full ring once i reaches the generator
     count) and the zero ideal once the minor order exceeds both matrix
-    dimensions.
+    dimensions. Over the principal kinds invertible row and column
+    operations leave the minor ideals unchanged, so the exponent is read
+    from the Smith form: the sum of the r smallest invariant exponents,
+    capped at K. Over the series ring the minors themselves are the
+    generators.
     """
-    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
-        raise RingMismatch(f"Fitting index must be a non-negative integer, got {i!r}")
+    _check_index(i)
     ring = M.ring
+    if ring.kind != "lambda":
+        return FittingIdealResult(
+            i, ring.kind, exponent=_principal_exponent(M, i, _smith_valuation)
+        )
     r = M.rows - i
-    if ring.kind == "lambda":
-        if r <= 0:
-            gens = (TruncatedSeries.one(ring.p, ring.K, ring.m),)
-        elif r > min(M.rows, M.cols):
-            gens = ()
-        else:
-            gens = _series_minor_generators(
-                M.entries, M.rows, M.cols, r, ring.p, ring.K, ring.m
-            )
-        return FittingIdealResult(i, ring.kind, generators=gens)
+    one = TruncatedSeries.one(ring.p, ring.K, ring.m)
     if r <= 0:
-        return FittingIdealResult(i, ring.kind, exponent=0)
-    if r > min(M.rows, M.cols):
-        exp = ring.K if ring.kind == "Zp_mod_pk" else "full"
-        return FittingIdealResult(i, ring.kind, exponent=exp)
-    v = _int_minor_minimum(M.entries, M.rows, M.cols, r, ring.p, ring.K)
-    if v >= ring.K and ring.kind == "dvr":
-        return FittingIdealResult(i, ring.kind, exponent="full")
-    return FittingIdealResult(i, ring.kind, exponent=v)
+        return FittingIdealResult(i, ring.kind, generators=(one,))
+    gens = {}
+    if r <= min(M.rows, M.cols):
+        for g in _minors(M, r, one, TruncatedSeries.zero(ring.p, ring.K, ring.m)):
+            if g.is_unit():
+                gens = {one.coeffs: one}
+                break
+            if not g.is_zero():
+                gens.setdefault(g.coeffs, g)
+    return FittingIdealResult(i, ring.kind, generators=tuple(gens.values()))
 
 
 @dataclass(frozen=True)
 class SmithCertificate:
-    """Diagonalization D = U A V over the DVR, all residues mod p^K.
+    """Diagonalization D = U A V over Z/p^K or the DVR, residues mod p^K.
 
     ``exponents`` lists the diagonal valuations, non-decreasing; an
     entry equal to K marks a diagonal slot the precision cannot tell
@@ -369,16 +374,18 @@ class SmithCertificate:
 def smith_normal_form(
     M: PresentationMatrix, allow_zero_block: bool = False
 ) -> SmithCertificate:
-    """Diagonalize a DVR matrix by elementary operations.
+    """Diagonalize a principal-kind matrix by elementary operations.
 
-    Pivots are chosen by minimal valuation, ties broken by (row, col).
+    Both Z/p^K and the DVR at precision K are local principal ideal
+    rings, so the same pivoting serves both. Pivots are chosen by
+    minimal valuation, ties broken by (row, col).
     Once the remaining block is indistinguishable from zero the routine
     either pads the exponents with K (``allow_zero_block``) or refuses,
     since precision K cannot certify those divisors.
     """
-    if M.ring.kind != "dvr":
+    if M.ring.kind not in _PRINCIPAL_KINDS:
         raise RingMismatch(
-            f"Smith normal form needs the dvr kind, got {M.ring.kind!r}"
+            f"Smith normal form needs a principal kind, got {M.ring.kind!r}"
         )
     p, K = M.ring.p, M.ring.K
     q = p**K

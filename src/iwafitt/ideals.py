@@ -485,6 +485,28 @@ def _tower_for(P: HeightOnePrime, j: int, K: int, m: int) -> SpecializationRing:
     return SpecializationRing(P.p, j, K, "unramified", a=-P.dist[0] % P.p**K)
 
 
+def _image_weights(primes, used, P: HeightOnePrime, j: int):
+    """The level-j tower ring at P and each prime's image valuation in it.
+
+    A ``used`` prime whose image is zero meets the deformed prime.
+    """
+    if j < 1:
+        raise ValueError(f"tower level j must be >= 1, got {j}")
+    maxdeg = max((pr.degree for pr in primes), default=0)
+    m_work = max(maxdeg + 1, 2)
+    K_work = max(maxdeg, 1) * j + 4
+    ring = _tower_for(P, j, K_work, m_work)
+    weights = []
+    for pr, u in zip(primes, used):
+        w = ring.image_valuation(pr.as_series(K_work, m_work))
+        if u and w >= ring.valuation_cap:
+            raise SupportCollision(
+                f"the deformed prime at level j={j} meets {pr.label()}"
+            )
+        weights.append(w)
+    return ring, weights
+
+
 def specialize_elementary(
     E: ElementaryLambdaModule, P: HeightOnePrime, j: int, i: int
 ) -> SpecializedModule:
@@ -495,19 +517,10 @@ def specialize_elementary(
     in O_j, which stays bounded in j. The result records the specialized
     divisor exponents and the requested Fitting exponent m_j.
     """
-    if j < 1:
-        raise ValueError(f"tower level j must be >= 1, got {j}")
-    maxdeg = max((pr.degree for pr, _ in E.components), default=0)
-    m_work = max(maxdeg + 1, 2)
-    K_work = max(maxdeg, 1) * j + 4
-    ring = _tower_for(P, j, K_work, m_work)
+    primes = [pr for pr, _ in E.components]
+    ring, weights = _image_weights(primes, [True] * len(primes), P, j)
     exps = []
-    for pr, ks in E.components:
-        w = ring.image_valuation(pr.as_series(K_work, m_work))
-        if w >= ring.valuation_cap:
-            raise SupportCollision(
-                f"the deformed prime at level j={j} meets {pr.label()}"
-            )
+    for (_, ks), w in zip(E.components, weights):
         for k in ks:
             if k and w:
                 exps.append(k * w)
@@ -526,21 +539,8 @@ def specialized_ideal_ord(
     valuation is the minimum over generators of the exponent-weighted
     image valuations of the basis primes.
     """
-    if j < 1:
-        raise ValueError(f"tower level j must be >= 1, got {j}")
-    maxdeg = max((pr.degree for pr in I.basis), default=0)
-    m_work = max(maxdeg + 1, 2)
-    K_work = max(maxdeg, 1) * j + 4
-    ring = _tower_for(P, j, K_work, m_work)
     used = [any(g[t] for g in I.generators) for t in range(len(I.basis))]
-    weights = []
-    for t, pr in enumerate(I.basis):
-        w = ring.image_valuation(pr.as_series(K_work, m_work))
-        if used[t] and w >= ring.valuation_cap:
-            raise SupportCollision(
-                f"the deformed prime at level j={j} meets {pr.label()}"
-            )
-        weights.append(w)
+    _, weights = _image_weights(I.basis, used, P, j)
     return min(sum(e * w for e, w in zip(g, weights)) for g in I.generators)
 
 

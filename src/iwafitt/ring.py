@@ -344,29 +344,14 @@ class WeierstrassForm:
             raise ValueError("mu must be >= 0")
         P, U = self.distinguished, self.unit
         P._compat(U)
-        d = self.degree
-        if d >= P.m:
-            raise ValueError("distinguished part has no monic coefficient")
+        d = _monic_degree(P)
         for i in range(d):
             if P.coeffs[i] % P.p != 0:
                 raise ValueError(
                     f"coefficient {i} of distinguished part is a unit"
                 )
-        for i in range(d + 1, P.m):
-            if P.coeffs[i] != 0:
-                raise ValueError("distinguished part has terms above its degree")
         if not U.is_unit():
             raise ValueError("unit part has non-unit constant term")
-
-    @property
-    def degree(self) -> int:
-        """Degree of the distinguished polynomial (highest coeff == 1)."""
-        P = self.distinguished
-        for i in range(P.m - 1, -1, -1):
-            if P.coeffs[i] == 1:
-                # monic scan from the top: first exact 1 with zeros above it
-                return i
-        raise ValueError("distinguished part is not monic")
 
     def recompose(self, K: int) -> TruncatedSeries:
         """p^mu * P * U, reinterpreted at the original precision K."""
@@ -375,7 +360,7 @@ class WeierstrassForm:
         return lifted.scale(self.distinguished.p**self.mu)
 
     def to_dict(self) -> dict:
-        d = self.degree
+        d = _monic_degree(self.distinguished)
         return {
             "mu": self.mu,
             "dist": list(self.distinguished.coeffs[: d + 1]),
@@ -412,38 +397,23 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
 
     P = [0] * d + [1]  # coefficients of the monic candidate, degree d
 
-    def divmod_by_p_poly(coeffs: list) -> tuple:
-        # long division by the current P; quotient padded to length m
-        rem = list(coeffs)
-        quot = [0] * m
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            quot[i - d] = c
-            rem[i] = 0
-            for t in range(d):
-                rem[i - d + t] = (rem[i - d + t] - c * P[t]) % q
-        return quot, rem[:d]
-
     def mul_mod_p_poly(a: list, b: list) -> list:
         prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] = (prod[i + j] + ai * bj) % q
-        _, red = divmod_by_p_poly(prod)
+        red = _monic_divmod(prod, P, q)[1]
         return red + [0] * (d - len(red))
 
     U = list(g.coeffs)
     for _ in range(Kp.bit_length() + 2):
-        U, err = divmod_by_p_poly(list(g.coeffs))
+        U, err = _monic_divmod(g.coeffs, P, q)
         if all(c == 0 for c in err):
             break
         # invert U mod (P, q): seed mod p via series recursion (P = T^d
         # mod p), then lift with w <- w*(2 - U*w) which doubles precision
-        _, ubar = divmod_by_p_poly(U)
-        ubar += [0] * (d - len(ubar))
+        ubar = _monic_divmod(U, P, q)[1]
         u0_inv = pow(ubar[0], -1, p)
         w = [0] * d
         w[0] = u0_inv
@@ -459,7 +429,7 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
         for t in range(d):
             P[t] = (P[t] + delta[t]) % q
     else:
-        _, err = divmod_by_p_poly(list(g.coeffs))
+        err = _monic_divmod(g.coeffs, P, q)[1]
         if any(c != 0 for c in err):
             raise InsufficientPrecision("factor lift did not converge")
 
@@ -494,18 +464,29 @@ def weierstrass_divide(
     for i in range(d):
         if P.coeffs[i] % P.p != 0:
             raise ValueError(f"divisor coefficient {i} is a unit; not distinguished")
-    q_mod = f.modulus
-    rem = list(f.coeffs)
-    quot = [0] * f.m
-    for i in range(f.m - 1, d - 1, -1):
+    quot, rem = _monic_divmod(f.coeffs, P.coeffs[: d + 1], f.modulus)
+    r = TruncatedSeries(f.p, f.K, f.m, tuple(rem) + (0,) * (f.m - d))
+    return TruncatedSeries(f.p, f.K, f.m, tuple(quot)), r
+
+
+def _monic_divmod(coeffs, P, q: int) -> tuple:
+    """Top-down long division of a coefficient list by monic P, mod q.
+
+    P lists its coefficients up to the leading 1, so deg P = len(P) - 1.
+    Returns (quotient, remainder) as lists: the quotient as long as the
+    dividend, the remainder of length deg P.
+    """
+    d = len(P) - 1
+    rem = list(coeffs)
+    quot = [0] * len(rem)
+    for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c == 0:
             continue
         quot[i - d] = c
         for t in range(d + 1):
-            rem[i - d + t] = (rem[i - d + t] - c * P.coeffs[t]) % q_mod
-    r = TruncatedSeries(f.p, f.K, f.m, tuple(rem[:d]) + (0,) * (f.m - d))
-    return TruncatedSeries(f.p, f.K, f.m, tuple(quot)), r
+            rem[i - d + t] = (rem[i - d + t] - c * P[t]) % q
+    return quot, rem[:d]
 
 
 def _monic_degree(P: TruncatedSeries) -> int:
@@ -515,9 +496,9 @@ def _monic_degree(P: TruncatedSeries) -> int:
         if c == 0:
             continue
         if c != 1:
-            raise ValueError("divisor is not monic")
+            raise ValueError("polynomial is not monic")
         return i
-    raise ValueError("divisor is zero")
+    raise ValueError("polynomial is zero")
 
 
 @dataclass(frozen=True, slots=True)

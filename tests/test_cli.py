@@ -186,6 +186,43 @@ def test_unknown_flags_and_commands_are_rejected(capsys):
     assert run([], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["fitt", "--in", fx("diag123.json"), "--index", "-1"], "--index"),
+        (["fitt", "--in", fx("diag123.json"), "--index", "0", "--K", "0"], "--K"),
+        (["lambda-module", "fitt-class", "--in", fx("module.json"), "--index", "-1"],
+         "--index"),
+        (["lambda-module", "slope", "--in", fx("module.json"), "--index", "-1"],
+         "--index"),
+        (["lambda-module", "specialize", "--in", fx("module.json"),
+          "--stratum", "0", "--index", "0"], "--stratum"),
+        (["euler", "stabilize", "--in", fx("stabilize.json"), "--stratum", "0"],
+         "--stratum"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"input error at {flag}:" in err
+
+
+def test_unit_ideal_has_a_banner(capsys):
+    # an empty basis is the unit ideal; p comes from the document
+    unit = {"p": 5, "basis": [], "generators": [[]]}
+    code, out, err = run(
+        ["ideal", "ord", "--in", json.dumps({**unit, "prime": "PI"})], capsys
+    )
+    assert code == 0 and out == '{"ord":0}\n'
+    assert "# p=5" in err
+    for sub in ("principal", "sqrt"):
+        code, out, _ = run(["ideal", sub, "--in", json.dumps(unit)], capsys)
+        assert code == 0 and out == '{"class":{}}\n'
+    pair = json.dumps({"left": unit, "right": unit})
+    assert run(["ideal", "prec", "--in", pair], capsys)[:2] == (0, '{"prec":true}\n')
+    assert run(["ideal", "sim", "--in", pair], capsys)[:2] == (0, '{"sim":true}\n')
+
+
 def test_domain_refusals_exit_one(capsys):
     odd = json.dumps({"p": 3, "basis": ["PI"], "generators": [[1]]})
     code, _, err = run(["ideal", "sqrt", "--in", odd], capsys)

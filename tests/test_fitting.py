@@ -1,5 +1,7 @@
 """Minor enumeration, diagonalization, and the structure formulas."""
 
+import time
+
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from iwafitt.fitting import (
     dvr_structure,
     fitting_from_structure,
     fitting_ideal,
+    minor_fitting_exponent,
     smith_normal_form,
 )
 from iwafitt.ring import TruncatedSeries, padic_valuation
@@ -127,10 +130,22 @@ def test_snf_refuses_zero_pivot_at_precision():
     assert cert.exponents == (12,)
 
 
-def test_snf_requires_dvr_kind():
-    arting = RingDescriptor("Zp_mod_pk", 3, 4)
+def test_snf_refuses_lambda_kind():
     with pytest.raises(RingMismatch):
-        smith_normal_form(PresentationMatrix.make(arting, [[3]]))
+        smith_normal_form(PresentationMatrix.make(LAM, [[[0, 1]]]))
+
+
+def test_snf_over_zp_mod_pk():
+    # Z/3^4 is a local principal ideal ring: the DVR pivoting applies as is
+    arting = RingDescriptor("Zp_mod_pk", 3, 4)
+    M = PresentationMatrix.make(arting, [[9, 3, 0], [27, 6, 0], [0, 0, 81]])
+    cert = smith_normal_form(M, allow_zero_block=True)
+    assert cert.verifies(M)
+    # det of the 2x2 block is 54 - 81 = -27, so the divisors are p, p^2;
+    # the third entry is 81 = 0 mod 3^4 and pads with K
+    assert cert.exponents == (1, 2, 4)
+    with pytest.raises(InsufficientPrecision):
+        smith_normal_form(M)
 
 
 # ---------------------------------------------------------------- structure
@@ -181,7 +196,7 @@ def test_fitting_from_structure_matches_minor_oracle():
             ]
         )
         for i in range(len(exps) + 2):
-            assert fitting_from_structure(E, i) == exp_of(M, i)
+            assert fitting_from_structure(E, i) == minor_fitting_exponent(M, i)
 
 
 def test_direct_sum_examples():
@@ -231,7 +246,9 @@ def test_minors_match_structure_on_random_matrices():
         E = dvr_structure(M)
         assert list(E.exponents) == [e for e in exps if e > 0]
         for i in range(7):
-            assert exp_of(M, i) == fitting_from_structure(E, i), (trial, i)
+            assert minor_fitting_exponent(M, i) == fitting_from_structure(
+                E, i
+            ), (trial, i)
 
 
 def test_structure_against_integer_snf_oracle():
@@ -247,7 +264,57 @@ def test_structure_against_integer_snf_oracle():
         assert list(cert.exponents) == oracle
 
 
+def test_planted_chain_at_n14_reads_the_smith_form():
+    # by minors the middle index alone takes minutes; the Smith form
+    # reads the whole chain in milliseconds
+    rng = random.Random(14)
+    ring = RingDescriptor("dvr", 3, 40)
+    exps = sorted(rng.randint(0, 3) for _ in range(14))
+    q = 3**40
+    A = [[3 ** exps[r] if r == c else 0 for c in range(14)] for r in range(14)]
+    for _ in range(60):
+        i, j = rng.sample(range(14), 2)
+        c = rng.randint(-9, 9)
+        A[i] = [(a + c * b) % q for a, b in zip(A[i], A[j])]
+        for row in A:
+            row[j] = (row[j] + c * row[i]) % q
+    M = PresentationMatrix.make(ring, A)
+    t0 = time.perf_counter()
+    chain = [exp_of(M, i) for i in range(15)]
+    elapsed = time.perf_counter() - t0
+    assert chain == [sum(exps[: 14 - i]) for i in range(15)]
+    assert elapsed < 1.0, elapsed
+
+
 # ---------------------------------------------------------------- properties
+
+
+@st.composite
+def principal_matrices(draw):
+    """Rectangular Z/p^K or dvr matrices with zero entries and zero blocks."""
+    kind = draw(st.sampled_from(("dvr", "Zp_mod_pk")))
+    p = draw(st.sampled_from((2, 3, 5)))
+    K = draw(st.integers(1, 8))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    q = p**K
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda v, u: (p**v * u) % q, st.integers(0, K), st.integers(1, 40)),
+    )
+    entries = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # zero out a trailing block of rows and columns
+        r0, c0 = draw(st.integers(0, n)), draw(st.integers(0, k))
+        for r in range(r0, n):
+            for c in range(c0, k):
+                entries[r][c] = 0
+    return PresentationMatrix.make(RingDescriptor(kind, p, K), entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(principal_matrices(), st.integers(0, 7))
+def test_smith_reading_matches_minor_oracle(M, i):
+    assert exp_of(M, i) == minor_fitting_exponent(M, i)
 
 
 @st.composite
