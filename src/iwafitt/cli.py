@@ -172,6 +172,10 @@ def _parse_pool(text, k):
             raise InputError(str(exc), "--pool") from exc
     if not labels:
         raise InputError("pool is empty", "--pool")
+    ids = [lab.ident for lab in labels]
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise InputError(f"pool id {dup} appears more than once", "--pool")
     return labels
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -55,6 +56,9 @@ class AdmissiblePrimeLabel:
     generic: bool = True
 
     def __post_init__(self) -> None:
+        # id 1 would collide with "1", the key of the empty product
+        if self.ident < 2:
+            raise ValueError(f"prime id must be >= 2, got {self.ident}")
         if self.k_ell < 1:
             raise ValueError(f"k_ell must be >= 1, got {self.k_ell}")
 
@@ -67,8 +71,8 @@ class AdmissiblePrimeLabel:
             raise InputError("label must be an object", path)
         ident, k_ell = doc.get("id"), doc.get("k", 1)
         generic = doc.get("generic", True)
-        if isinstance(ident, bool) or not isinstance(ident, int):
-            raise InputError("'id' must be an integer", f"{path}.id")
+        if isinstance(ident, bool) or not isinstance(ident, int) or ident < 2:
+            raise InputError("'id' must be an integer >= 2", f"{path}.id")
         if isinstance(k_ell, bool) or not isinstance(k_ell, int) or k_ell < 1:
             raise InputError("'k' must be an integer >= 1", f"{path}.k")
         if not isinstance(generic, bool):
@@ -86,8 +90,22 @@ def key_weight(key: str) -> int:
     return 0 if key == "1" else key.count(".") + 1
 
 
-def _key_ids(key: str):
-    return [] if key == "1" else [int(s) for s in key.split(".")]
+def _key_ids(key: str) -> tuple:
+    return () if key == "1" else tuple(map(int, key.split(".")))
+
+
+_PRIME_ID = re.compile(r"[1-9][0-9]*")
+_DOTTED_IDS = re.compile(r"[1-9][0-9]*(?:\.[1-9][0-9]*)*")
+
+
+def _is_canonical_key(key: str) -> bool:
+    """Whether key reads exactly as index_key would write it."""
+    if key == "1":
+        return True
+    if not _DOTTED_IDS.fullmatch(key):
+        return False
+    ids = _key_ids(key)
+    return ids[0] >= 2 and list(ids) == sorted(set(ids))
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,12 @@ class EulerSystemData:
     ind_lambda is keyed by definite index keys, ind_kappa by indefinite
     ones; i_n_val holds min(k, min k_ell over the factors); the two
     localization maps are keyed by (index key, prime id).
+
+    An index key is canonical: "1" for the empty product, otherwise the
+    decimal prime ids (each >= 2, no leading zeros) in strictly
+    increasing order joined by dots, as index_key writes it. String
+    keys are the data boundary only: from_dict rejects any other form,
+    and the checks below parse each key once into its id tuple.
     """
 
     epsilon: int
@@ -182,10 +206,24 @@ class EulerSystemData:
             for i, p in enumerate(pool_doc)
         )
 
+        canonical = set()
+
+        def check_keys(name, raw):
+            fresh = raw.keys() - canonical
+            if not all(map(_is_canonical_key, fresh)):
+                key = next(k for k in raw if not _is_canonical_key(k))
+                raise InputError(
+                    "index keys must be '1' or increasing prime ids >= 2 "
+                    "joined by dots",
+                    f"$.{name}.{key}",
+                )
+            canonical.update(fresh)
+
         def int_map(name):
             raw = doc.get(name, {})
             if not isinstance(raw, dict):
                 raise InputError(f"'{name}' must be an object", f"$.{name}")
+            check_keys(name, raw)
             out = {}
             for key, v in raw.items():
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -199,6 +237,7 @@ class EulerSystemData:
             raw = doc.get(name, {})
             if not isinstance(raw, dict):
                 raise InputError(f"'{name}' must be an object", f"$.{name}")
+            check_keys(name, raw)
             out = {}
             for key, per in raw.items():
                 if not isinstance(per, dict):
@@ -206,6 +245,12 @@ class EulerSystemData:
                         "entries must map prime ids to integers", f"$.{name}.{key}"
                     )
                 for ident, v in per.items():
+                    # one text per id, or "3" and "03" would merge
+                    if not _PRIME_ID.fullmatch(ident) or int(ident) < 2:
+                        raise InputError(
+                            "prime ids must be decimal integers >= 2",
+                            f"$.{name}.{key}.{ident}",
+                        )
                     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                         raise InputError(
                             "values must be integers >= 0",
@@ -262,9 +307,14 @@ def simulate_system(shape, k, pool, seed, nu_max=None):
     epsilon = (shape.e + 1) % 2
     data = EulerSystemData(epsilon, k, tuple(labels), delta)
     states = {}
+    # combinations of the sorted pool come out in id order, so each id
+    # tuple is already canonical; key_of maps it to its string key
+    key_of = {}
     for size in range(nu_max + 1):
         for combo in combinations(labels, size):
-            key = index_key(combo)
+            ids = tuple(lab.ident for lab in combo)
+            key = ".".join(map(str, ids)) if ids else "1"
+            key_of[ids] = key
             e_cur, d_cur = shape.e, list(shape.d)
             for lab in combo:
                 if e_cur == 0 and d_cur:
@@ -285,62 +335,67 @@ def simulate_system(shape, k, pool, seed, nu_max=None):
                 data.ind_lambda[key] = ind
             else:
                 data.ind_kappa[key] = ind
-    for key in states:
-        have = set(_key_ids(key))
-        if key_weight(key) + 1 > nu_max:
-            continue
+    for ids, key in key_of.items():
+        if len(ids) >= nu_max:
+            break
+        ind_n = data.ind_lambda.get(key)
         for lab in labels:
-            if lab.ident in have:
+            ident = lab.ident
+            if ident in ids:
                 continue
-            m_key = index_key(
-                [lab] + [l for l in labels if l.ident in have]
-            )
+            m_key = key_of[tuple(sorted(ids + (ident,)))]
             val_m = data.i_n_val[m_key]
-            if key in data.ind_lambda:
-                data.loc_ord[(m_key, lab.ident)] = min(
-                    data.ind_lambda[key], val_m
-                )
+            if ind_n is not None:
+                data.loc_ord[(m_key, ident)] = min(ind_n, val_m)
             else:
                 ind_m = data.ind_lambda[m_key]
-                data.loc_unr[(key, lab.ident)] = (
-                    ind_m if ind_m < val_m else k
-                )
+                data.loc_unr[(key, ident)] = ind_m if ind_m < val_m else k
     return data, states
 
 
 # ----------------------------------------------------------- stratum minima
 
 
+def _stratum_minima(index_map, cap=None, k=None) -> dict:
+    """weight -> least index of that weight, in one pass over the keys.
+
+    With cap (the i_n_val map) each index is first capped at its I_n
+    valuation, falling back to the ambient length k.
+    """
+    minima = {}
+    for key, ind in index_map.items():
+        if cap is not None:
+            ind = min(ind, cap.get(key, k))
+        w = key_weight(key)
+        if w not in minima or ind < minima[w]:
+            minima[w] = ind
+    return minima
+
+
+def _lambda_minima(data: EulerSystemData) -> dict:
+    return _stratum_minima(data.ind_lambda, data.i_n_val, data.k)
+
+
 def partial_j(data: EulerSystemData, j: int) -> int:
     """Stratum minimum on the lambda side, with the I_n cap applied."""
-    vals = [
-        min(ind, data.i_n_val.get(key, data.k))
-        for key, ind in data.ind_lambda.items()
-        if key_weight(key) == j
-    ]
-    if not vals:
+    minima = _lambda_minima(data)
+    if j not in minima:
         raise EmptyStratum(f"no index of weight {j} carries a lambda element")
-    return min(vals)
+    return minima[j]
 
 
 def partial_j_kappa(data: EulerSystemData, j: int) -> int:
-    vals = [
-        ind for key, ind in data.ind_kappa.items() if key_weight(key) == j
-    ]
-    if not vals:
+    minima = _stratum_minima(data.ind_kappa)
+    if j not in minima:
         raise EmptyStratum(f"no index of weight {j} carries a kappa element")
-    return min(vals)
-
-
-def _strata(index_map) -> list:
-    return sorted({key_weight(key) for key in index_map})
+    return minima[j]
 
 
 def partial_global(data: EulerSystemData) -> int:
-    js = _strata(data.ind_lambda)
-    if not js:
+    minima = _lambda_minima(data)
+    if not minima:
         raise EmptyStratum("the lambda side is empty")
-    return min(partial_j(data, j) for j in js)
+    return min(minima.values())
 
 
 # ------------------------------------------------------------- closed forms
@@ -366,16 +421,12 @@ def artkappa_rhs(shape: SelmerShape, k: int, delta: int, j: int) -> int:
     return min(k, delta + tail)
 
 
-def verify_artsel(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
-    """Compare every populated lambda stratum against the closed form."""
-    js = _strata(data.ind_lambda)
-    if not js:
-        return {"delta": None, "strata": [], "all_match": True}
-    delta = partial_global(data)
+def _strata_report(minima, rhs) -> tuple:
+    """(delta, entries): each stratum minimum against rhs(delta, j)."""
+    delta = min(minima.values())
     strata = []
-    for j in js:
-        observed = partial_j(data, j)
-        expected = artsel_rhs(shape, k, delta, j)
+    for j in sorted(minima):
+        observed, expected = minima[j], rhs(delta, j)
         strata.append(
             {
                 "j": j,
@@ -384,6 +435,17 @@ def verify_artsel(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
                 "match": observed == expected,
             }
         )
+    return delta, strata
+
+
+def verify_artsel(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
+    """Compare every populated lambda stratum against the closed form."""
+    minima = _lambda_minima(data)
+    if not minima:
+        return {"delta": None, "strata": [], "all_match": True}
+    delta, strata = _strata_report(
+        minima, lambda delta, j: artsel_rhs(shape, k, delta, j)
+    )
     return {
         "delta": delta,
         "strata": strata,
@@ -393,36 +455,23 @@ def verify_artsel(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
 
 def verify_artkappa(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
     """Kappa strata against the closed form, plus the shift-by-one bridge."""
-    js = _strata(data.ind_kappa)
-    if not js:
+    minima = _stratum_minima(data.ind_kappa)
+    if not minima:
         return {"delta": None, "strata": [], "bridge": [], "all_match": True}
-    delta = min(partial_j_kappa(data, j) for j in js)
-    strata = []
-    for j in js:
-        observed = partial_j_kappa(data, j)
-        expected = artkappa_rhs(shape, k, delta, j)
-        strata.append(
-            {
-                "j": j,
-                "observed": observed,
-                "expected": expected,
-                "match": observed == expected,
-            }
-        )
-    bridge = []
-    lam_js = set(_strata(data.ind_lambda))
-    for j in js:
-        if j + 1 in lam_js:
-            kappa_side = partial_j_kappa(data, j)
-            lam_side = partial_j(data, j + 1)
-            bridge.append(
-                {
-                    "j": j,
-                    "kappa": kappa_side,
-                    "lambda_next": lam_side,
-                    "match": kappa_side == lam_side,
-                }
-            )
+    delta, strata = _strata_report(
+        minima, lambda delta, j: artkappa_rhs(shape, k, delta, j)
+    )
+    lam = _lambda_minima(data)
+    bridge = [
+        {
+            "j": j,
+            "kappa": minima[j],
+            "lambda_next": lam[j + 1],
+            "match": minima[j] == lam[j + 1],
+        }
+        for j in sorted(minima)
+        if j + 1 in lam
+    ]
     ok = all(s["match"] for s in strata) and all(b["match"] for b in bridge)
     return {"delta": delta, "strata": strata, "bridge": bridge, "all_match": ok}
 
@@ -431,28 +480,36 @@ def verify_artkappa(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
 
 
 def reciprocity_check(data: EulerSystemData) -> bool:
-    """Both explicit laws, as valuation equalities, over all stored pairs."""
+    """Both explicit laws, as valuation equalities, over all stored pairs.
+
+    Each key is parsed once; the neighbour n or n*ell of a pair is found
+    by dropping or inserting one id in its tuple.
+    """
+    ids_of = {}
+
+    def ids(key):
+        got = ids_of.get(key)
+        if got is None:
+            got = ids_of[key] = _key_ids(key)
+        return got
+
+    lam = {ids(key): ind for key, ind in data.ind_lambda.items()}
+    cap = {ids(key): v for key, v in data.i_n_val.items()}
+    k = data.k
     for (m_key, ident), loc in data.loc_ord.items():
-        ids = _key_ids(m_key)
-        if ident not in ids:
+        m = ids(m_key)
+        if ident not in m:
             return False
-        n_key = index_key(
-            [AdmissiblePrimeLabel(i) for i in ids if i != ident]
-        )
-        ind = data.ind_lambda.get(n_key)
-        if ind is None:
-            continue
-        if min(ind, data.i_n_val.get(m_key, data.k)) != loc:
+        ind = lam.get(tuple(i for i in m if i != ident))
+        if ind is not None and min(ind, cap.get(m, k)) != loc:
             return False
     for (n_key, ident), loc in data.loc_unr.items():
-        ids = _key_ids(n_key)
-        if ident in ids:
+        n = ids(n_key)
+        if ident in n:
             return False
-        m_key = index_key([AdmissiblePrimeLabel(i) for i in ids + [ident]])
-        ind_m = data.ind_lambda.get(m_key)
-        if ind_m is None:
-            continue
-        if min(loc, data.i_n_val.get(m_key, data.k)) != ind_m:
+        m = tuple(sorted(n + (ident,)))
+        ind_m = lam.get(m)
+        if ind_m is not None and min(loc, cap.get(m, k)) != ind_m:
             return False
     return True
 

@@ -207,6 +207,35 @@ def test_out_of_range_flags_are_usage_errors(argv, flag, capsys):
     assert f"input error at {flag}:" in err
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "pool", ["1,2,3,5,7,11", "0,2,3,5,7,11", "2,2,3,5,7,11", "2,3:4,5,7,3:5:n"]
+)
+def test_pool_ids_must_be_distinct_and_at_least_two(cmd, pool, capsys):
+    # id 1 once merged index {1} with the empty product "1"
+    argv = ["euler", cmd, "--pool", pool, "--shape", "1:1", "--k", "3",
+            "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "input error at --pool:" in err
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ({"epsilon": 0, "k": 3, "loc_ord": {"2": {"x": 1}}}, "$.loc_ord.2.x"),
+        ({"epsilon": 0, "k": 3, "ind_lambda": {"a.b": 1}}, "$.ind_lambda.a.b"),
+        ({"epsilon": 0, "k": 3, "loc_unr": {"3.2": {"5": 1}}}, "$.loc_unr.3.2"),
+    ],
+)
+def test_verify_refuses_noncanonical_system_data(doc, path, capsys):
+    wrapped = json.dumps({"data": doc, "shape": "0:"})
+    code, out, err = run(["euler", "verify", "--in", wrapped], capsys)
+    assert code == 2 and out == ""
+    assert f"input error at {path}:" in err
+    assert "Traceback" not in err
+
+
 def test_unit_ideal_has_a_banner(capsys):
     # an empty basis is the unit ideal; p comes from the document
     unit = {"p": 5, "basis": [], "generators": [[]]}

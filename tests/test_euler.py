@@ -97,6 +97,17 @@ def test_label_validation_and_order():
     assert sorted([AdmissiblePrimeLabel(5), AdmissiblePrimeLabel(2)])[0].ident == 2
 
 
+@pytest.mark.parametrize("ident", [1, 0, -3])
+def test_label_ids_below_two_are_refused(ident):
+    # id 1 would share the key "1" with the empty product
+    with pytest.raises(ValueError):
+        AdmissiblePrimeLabel(ident)
+    with pytest.raises(InputError, match=r"\$\.pool\[0\]\.id"):
+        EulerSystemData.from_dict(
+            {"epsilon": 0, "k": 3, "pool": [{"id": ident}]}
+        )
+
+
 def test_index_key_and_weight():
     assert index_key([]) == "1"
     assert key_weight("1") == 0
@@ -344,6 +355,42 @@ def test_system_data_json_round_trip_and_errors():
         EulerSystemData.from_dict(
             {"epsilon": 0, "k": 3, "loc_ord": {"2": {"3": True}}}
         )
+
+
+@pytest.mark.parametrize(
+    "key", ["a.b", "", "0", "1.2", "3.2", "2.2", "02", "2..3", "2.", " 2",
+            "+2", "\u0663", "2.3.1"],
+)
+@pytest.mark.parametrize(
+    "name", ["ind_lambda", "ind_kappa", "i_n_val", "loc_ord", "loc_unr"]
+)
+def test_system_data_refuses_noncanonical_keys(name, key):
+    value = {"5": 1} if name.startswith("loc") else 1
+    doc = {"epsilon": 0, "k": 3, name: {key: value}}
+    with pytest.raises(InputError) as info:
+        EulerSystemData.from_dict(doc)
+    assert info.value.json_path == f"$.{name}.{key}"
+
+
+def test_system_data_accepts_canonical_keys():
+    doc = {
+        "epsilon": 0, "k": 3,
+        "ind_lambda": {"1": 1, "2.3.101": 0},
+        "i_n_val": {"2.3.101": 3},
+        "loc_unr": {"2.3": {"101": 0}},
+    }
+    data = EulerSystemData.from_dict(doc)
+    assert data.loc_unr == {("2.3", 101): 0}
+    assert reciprocity_check(data)
+
+@pytest.mark.parametrize("ident", ["x", "03", " 3", "+3", "1", "0", "-5", "3.5"])
+def test_system_data_refuses_noncanonical_prime_ids(ident):
+    # "03" and "3" would otherwise merge into one pair, last value winning
+    with pytest.raises(InputError) as info:
+        EulerSystemData.from_dict(
+            {"epsilon": 0, "k": 3, "loc_ord": {"2.3": {"3": 1, ident: 2}}}
+        )
+    assert info.value.json_path == f"$.loc_ord.2.3.{ident}"
 
 
 # ------------------------------------------- limits and reconstruction
