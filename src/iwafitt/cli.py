@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass
 
 from . import acceptance
-from .errors import InputError, IwafittError
+from .errors import (InputError, IwafittError, read_int, read_ints, read_list,
+                     read_obj, read_p)
 from .euler import (
     AdmissiblePrimeLabel,
     EulerSystemData,
@@ -96,21 +97,15 @@ def _load_doc(arg):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}", "$") from exc
-    if not isinstance(doc, dict):
-        raise InputError("top-level JSON value must be an object", "$")
-    return doc
+    return read_obj(doc, "$")
 
 
 def _require_index(args):
-    if args.index is None or args.index < 0:
-        raise InputError("this command needs --index >= 0", "--index")
-    return args.index
+    return read_int(args.index, "--index", 0)
 
 
 def _require_stratum(args):
-    if args.stratum is None or args.stratum < 1:
-        raise InputError("this command needs --stratum >= 1", "--stratum")
-    return args.stratum
+    return read_int(args.stratum, "--stratum", 1)
 
 
 def _seed_of(args):
@@ -137,12 +132,14 @@ def _parse_shape(text, where="--shape"):
 def _shape_from_doc(obj, path):
     if isinstance(obj, str):
         return _parse_shape(obj, path)
-    if isinstance(obj, dict) and obj.get("e") in (0, 1):
-        try:
-            return SelmerShape(obj["e"], tuple(obj.get("d", ())))
-        except (TypeError, ValueError) as exc:
-            raise InputError(str(exc), path) from exc
-    raise InputError("shape must be 'e:d0,d1,...' or {e, d}", path)
+    if not isinstance(obj, dict):
+        raise InputError("shape must be 'e:d0,d1,...' or {e, d}", path)
+    e = read_int(obj.get("e"), f"{path}.e", 0, 1)
+    d = read_ints(obj.get("d", []), f"{path}.d", 0)
+    try:
+        return SelmerShape(e, tuple(d))
+    except ValueError as exc:
+        raise InputError(str(exc), f"{path}.d") from exc
 
 
 def _parse_pool(text, k):
@@ -184,17 +181,17 @@ def _default_pool(k, nu_max):
     return [AdmissiblePrimeLabel(_POOL_IDS[i], k_ell=2 * k) for i in range(count)]
 
 
-def _prime_from(doc, key, p, path):
-    if key not in doc:
-        raise InputError(f"missing '{key}'", path)
-    return HeightOnePrime.from_dict(doc[key], p, path)
+def _sub(doc, key):
+    """The sub-document under key, or the document itself, and its path."""
+    return (doc[key], f"$.{key}") if key in doc else (doc, "$")
 
 
-def _int_field(doc, key, path, default=None):
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"'{key}' must be an integer", path)
-    return value
+def _tower_prime(doc, p):
+    """The document's 'prime', which a deformation tower must start from."""
+    P = HeightOnePrime.from_dict(doc.get("prime"), p, "$.prime")
+    if P.degree > 1:
+        raise InputError("a tower prime must be PI or a linear prime", "$.prime")
+    return P
 
 
 # ------------------------------------------------------------- handlers
@@ -204,38 +201,29 @@ def _cmd_fitt(args):
     M = PresentationMatrix.from_dict(_load_doc(args.inp))
     i = _require_index(args)
     if args.K is not None:
-        if args.K < 1:
-            raise InputError("--K must be >= 1", "--K")
-        M = M.reduce_precision(args.K)
+        M = M.reduce_precision(read_int(args.K, "--K", 1))
     result = fitting_ideal(M, i)
     payload = result.to_dict()
     payload.pop("index", None)
     return payload, True, f"p={M.ring.p} K={M.ring.K}"
 
 
-def _ideal_of(doc):
-    """The ideal a document carries, and its p (the unit ideal has no basis)."""
-    sub = doc.get("ideal", doc)
-    return LambdaIdealFactored.from_dict(sub), sub.get("p", 3)
+def _ideal_at(doc, path):
+    """The ideal at path, and its p (the unit ideal has no basis to carry it)."""
+    return LambdaIdealFactored.from_dict(doc, path=path), read_p(doc, path)
 
 
 def _cmd_ideal_ord(args):
     doc = _load_doc(args.inp)
-    I, p = _ideal_of(doc)
-    P = _prime_from(doc, "prime", p, "$.prime")
+    I, p = _ideal_at(*_sub(doc, "ideal"))
+    P = HeightOnePrime.from_dict(doc.get("prime"), p, "$.prime")
     return {"ord": ord_at_prime(I, P)}, True, f"p={p}"
 
 
 def _two_ideals(args):
     doc = _load_doc(args.inp)
-    if "left" not in doc or "right" not in doc:
-        raise InputError("need 'left' and 'right' ideal objects", "$")
-    left = doc["left"]
-    return (
-        LambdaIdealFactored.from_dict(left),
-        LambdaIdealFactored.from_dict(doc["right"]),
-        left.get("p", 3),
-    )
+    left, p = _ideal_at(doc.get("left"), "$.left")
+    return left, _ideal_at(doc.get("right"), "$.right")[0], p
 
 
 def _cmd_ideal_prec(args):
@@ -249,18 +237,18 @@ def _cmd_ideal_sim(args):
 
 
 def _cmd_ideal_principal(args):
-    I, p = _ideal_of(_load_doc(args.inp))
+    I, p = _ideal_at(*_sub(_load_doc(args.inp), "ideal"))
     return {"class": class_of(I).to_dict()}, True, f"p={p}"
 
 
 def _cmd_ideal_sqrt(args):
-    I, p = _ideal_of(_load_doc(args.inp))
+    I, p = _ideal_at(*_sub(_load_doc(args.inp), "ideal"))
     return {"class": pseudo_square_root(I).to_dict()}, True, f"p={p}"
 
 
-def _module_of(doc, key=None):
-    sub = doc.get(key, doc) if key else doc.get("module", doc)
-    return ElementaryLambdaModule.from_dict(sub)
+def _module_of(doc):
+    sub, path = _sub(doc, "module")
+    return ElementaryLambdaModule.from_dict(sub, path=path)
 
 
 def _cmd_module_fitt_class(args):
@@ -272,8 +260,7 @@ def _cmd_module_fitt_class(args):
 def _cmd_module_specialize(args):
     doc = _load_doc(args.inp)
     E = _module_of(doc)
-    p = doc.get("p", 3)
-    P = _prime_from(doc, "prime", p, "$.prime")
+    P = _tower_prime(doc, read_p(doc))
     spec = specialize_elementary(E, P, _require_stratum(args), _require_index(args))
     payload = {
         "j": spec.j,
@@ -287,8 +274,7 @@ def _cmd_module_specialize(args):
 def _cmd_module_slope(args):
     doc = _load_doc(args.inp)
     E = _module_of(doc)
-    p = doc.get("p", 3)
-    P = _prime_from(doc, "prime", p, "$.prime")
+    P = _tower_prime(doc, read_p(doc))
     rep = slope_report(E, P, _require_index(args))
     payload = {
         "window": list(rep["window"]),
@@ -302,14 +288,11 @@ def _cmd_module_slope(args):
 
 def _cmd_module_parity(args):
     doc = _load_doc(args.inp)
-    rows_doc = doc.get("rows")
-    if not isinstance(rows_doc, list) or not rows_doc:
-        raise InputError("need a non-empty 'rows' list", "$.rows")
     rows = []
-    for i, row in enumerate(rows_doc):
-        if not isinstance(row, dict) or "j" not in row or "exponents" not in row:
-            raise InputError("row must carry 'j' and 'exponents'", f"$.rows[{i}]")
-        rows.append((row["j"], row["exponents"]))
+    for i, row in enumerate(read_list(doc.get("rows"), "$.rows")):
+        at = f"$.rows[{i}]"
+        j = read_int(read_obj(row, at).get("j"), f"{at}.j")
+        rows.append((j, read_ints(row.get("exponents"), f"{at}.exponents", 0)))
     try:
         balanced = parity_audit(rows)
     except ValueError as exc:
@@ -319,8 +302,7 @@ def _cmd_module_parity(args):
 
 def _euler_inputs(args):
     shape = _parse_shape(args.shape)
-    if args.k is None or args.k < 1:
-        raise InputError("this command needs --k >= 1", "--k")
+    read_int(args.k, "--k", 1)
     nu_max = 2 * len(shape.d) + shape.e
     pool = (
         _parse_pool(args.pool, args.k)
@@ -339,14 +321,14 @@ def _cmd_euler_simulate(args):
 def _cmd_euler_verify(args):
     if args.inp:
         doc = _load_doc(args.inp)
-        data = EulerSystemData.from_dict(doc.get("data", doc))
+        data = EulerSystemData.from_dict(*_sub(doc, "data"))
         if args.shape:
             shape = _parse_shape(args.shape)
         elif "shape" in doc:
             shape = _shape_from_doc(doc["shape"], "$.shape")
         else:
             raise InputError("need a shape (--shape or doc key)", "$.shape")
-        k = args.k if args.k is not None else data.k
+        k = data.k if args.k is None else read_int(args.k, "--k", 1)
         banner = f"k={k} external data"
     else:
         shape, k, pool, nu_max = _euler_inputs(args)
@@ -368,58 +350,47 @@ def _cmd_euler_verify(args):
 
 def _cmd_euler_reconstruct(args):
     doc = _load_doc(args.inp)
-    dv_doc = doc.get("delta_values")
-    if not isinstance(dv_doc, dict) or not dv_doc:
-        raise InputError("need a non-empty 'delta_values' map", "$.delta_values")
     dv = {}
-    for key, value in dv_doc.items():
+    for key, value in read_obj(doc.get("delta_values"), "$.delta_values").items():
+        at = f"$.delta_values.{key}"
         try:
             j = int(key)
         except ValueError as exc:
-            raise InputError(
-                f"stratum key must be an integer, got {key!r}",
-                "$.delta_values",
-            ) from exc
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise InputError(
-                "stratum values must be integers >= 0", f"$.delta_values.{key}"
-            )
-        dv[j] = value
-    e = _int_field(doc, "e", "$.e")
-    shape = reconstruct_shape(dv, e)
+            raise InputError("stratum keys must be integers", at) from exc
+        dv[j] = read_int(value, at, 0)
+    e = read_int(doc.get("e"), "$.e", 0, 1)
+    try:
+        shape = reconstruct_shape(dv, e)
+    except ValueError as exc:
+        raise InputError(str(exc), "$.delta_values") from exc
     payload = {"e": shape.e, "d": list(shape.d)}
     if args.index is not None:
-        payload["sha_exponent"] = sha_exponents(dv, e, args.index)
+        try:
+            payload["sha_exponent"] = sha_exponents(dv, e, _require_index(args))
+        except ValueError as exc:
+            raise InputError(str(exc), "--index") from exc
     return payload, True, f"{len(dv)} strata"
 
 
 def _cmd_euler_c_ideal(args):
     doc = _load_doc(args.inp)
-    p = doc.get("p", 3)
-    K = args.K if args.K is not None else _int_field(doc, "K", "$.K", 8)
-    m = args.m if args.m is not None else _int_field(doc, "m", "$.m", 8)
-    basis_doc = doc.get("basis")
-    if not isinstance(basis_doc, list) or not basis_doc:
+    p = read_p(doc)
+    K, m = (
+        read_int(doc.get(x, 8), f"$.{x}", 1) if v is None else read_int(v, f"--{x}", 1)
+        for x, v in (("K", args.K), ("m", args.m))
+    )
+    basis_doc = read_list(doc.get("basis"), "$.basis")
+    if not basis_doc:
         raise InputError("need a non-empty 'basis' list", "$.basis")
     basis = tuple(
         HeightOnePrime.from_dict(b, p, f"$.basis[{i}]")
         for i, b in enumerate(basis_doc)
     )
-    elems_doc = doc.get("elements")
-    if not isinstance(elems_doc, dict) or not elems_doc:
-        raise InputError("need a non-empty 'elements' map", "$.elements")
-    elements = {}
-    for key, coeffs in elems_doc.items():
-        if not isinstance(coeffs, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in coeffs
-        ):
-            raise InputError(
-                "element must be a coefficient list", f"$.elements.{key}"
-            )
-        elements[key] = TruncatedSeries.make(p, K, m, coeffs)
-    e = _int_field(doc, "e", "$.e")
-    if e not in (0, 1):
-        raise InputError("'e' must be 0 or 1", "$.e")
+    elements = {
+        key: TruncatedSeries.make(p, K, m, read_ints(coeffs, f"$.elements.{key}"))
+        for key, coeffs in read_obj(doc.get("elements"), "$.elements").items()
+    }
+    e = read_int(doc.get("e"), "$.e", 0, 1)
     build = construct_D if args.side == "kappa" else construct_C
     try:
         ideal = build(elements, _require_index(args), e, basis)
@@ -430,26 +401,21 @@ def _cmd_euler_c_ideal(args):
 
 def _cmd_euler_stabilize(args):
     doc = _load_doc(args.inp)
-    fam_doc = doc.get("family")
-    if not isinstance(fam_doc, dict) or not fam_doc:
-        raise InputError("need a non-empty 'family' map", "$.family")
-    p = doc.get("p", 3)
+    p = read_p(doc)
     family = {}
-    for key, value in fam_doc.items():
+    for key, value in read_obj(doc.get("family"), "$.family").items():
+        at = f"$.family.{key}"
         try:
             k = int(key)
         except ValueError as exc:
-            raise InputError(
-                f"family key must be an integer, got {key!r}", "$.family"
-            ) from exc
-        if isinstance(value, bool):
-            raise InputError("family value must be an integer or ideal",
-                             f"$.family.{key}")
-        if isinstance(value, int):
-            family[k] = value
-        else:
-            family[k] = LambdaIdealFactored.from_dict(value, default_p=p)
-    P = _prime_from(doc, "prime", p, "$.prime")
+            raise InputError("family keys must be integers", at) from exc
+        family[k] = (
+            value if type(value) is int
+            else LambdaIdealFactored.from_dict(value, p, at)
+        )
+    if not family:
+        raise InputError("need a non-empty 'family' map", "$.family")
+    P = _tower_prime(doc, p)
     k0 = stabilization_index(family, P, _require_stratum(args))
     return {"k0": k0}, True, f"{len(family)} levels"
 

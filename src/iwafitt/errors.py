@@ -1,7 +1,8 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the JSON field readers.
 
 Every failure mode that callers are expected to catch has its own class;
 anything else surfaces as a plain ValueError from validation code.
+Malformed JSON input raises InputError from the readers at the bottom.
 """
 
 from __future__ import annotations
@@ -58,3 +59,47 @@ class InputError(IwafittError):
         super().__init__(f"{json_path}: {message}")
         self.message = message
         self.json_path = json_path
+
+
+# JSON field readers: every type and bounds check on a parsed document (or
+# a CLI flag) goes through these, so each refusal names its full path.
+
+
+def read_int(value, path: str, lo: int | None = None, hi: int | None = None) -> int:
+    """A JSON integer in [lo, hi]; bools and floats are refused."""
+    if type(value) is not int or (lo is not None and value < lo) or (
+        hi is not None and value > hi
+    ):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise InputError(f"must be an integer{bounds}", path)
+    return value
+
+
+def read_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError("must be a list", path)
+    return value
+
+
+def read_ints(value, path: str, lo: int | None = None) -> list:
+    """A JSON list of integers >= lo, each refusal naming its element."""
+    # one pass over the whole list; element paths are built on failure only
+    if (
+        type(value) is not list
+        or not {int}.issuperset(map(type, value))
+        or (lo is not None and value and min(value) < lo)
+    ):
+        for i, v in enumerate(read_list(value, path)):
+            read_int(v, f"{path}[{i}]", lo)
+    return value
+
+
+def read_obj(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError("must be an object", path)
+    return value
+
+
+def read_p(doc: dict, path: str = "$", default: int = 3) -> int:
+    """The residue characteristic of a document: 'p', an integer >= 2."""
+    return read_int(doc.get("p", default), f"{path}.p", 2)

@@ -30,6 +30,9 @@ from .errors import (
     NotMonotone,
     ParityMismatch,
     PoolExhausted,
+    read_int,
+    read_list,
+    read_obj,
 )
 from .ideals import (
     ElementaryLambdaModule,
@@ -67,14 +70,10 @@ class AdmissiblePrimeLabel:
 
     @classmethod
     def from_dict(cls, doc, path: str = "$") -> AdmissiblePrimeLabel:
-        if not isinstance(doc, dict):
-            raise InputError("label must be an object", path)
-        ident, k_ell = doc.get("id"), doc.get("k", 1)
+        doc = read_obj(doc, path)
+        ident = read_int(doc.get("id"), f"{path}.id", 2)
+        k_ell = read_int(doc.get("k", 1), f"{path}.k", 1)
         generic = doc.get("generic", True)
-        if isinstance(ident, bool) or not isinstance(ident, int) or ident < 2:
-            raise InputError("'id' must be an integer >= 2", f"{path}.id")
-        if isinstance(k_ell, bool) or not isinstance(k_ell, int) or k_ell < 1:
-            raise InputError("'k' must be an integer >= 1", f"{path}.k")
         if not isinstance(generic, bool):
             raise InputError("'generic' must be a boolean", f"{path}.generic")
         return cls(ident, k_ell, generic)
@@ -190,80 +189,57 @@ class EulerSystemData:
         }
 
     @classmethod
-    def from_dict(cls, doc) -> EulerSystemData:
-        if not isinstance(doc, dict):
-            raise InputError("expected an object", "$")
-        eps, k = doc.get("epsilon"), doc.get("k")
-        if eps not in (0, 1):
-            raise InputError("'epsilon' must be 0 or 1", "$.epsilon")
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise InputError("'k' must be an integer >= 1", "$.k")
-        pool_doc = doc.get("pool", [])
-        if not isinstance(pool_doc, list):
-            raise InputError("'pool' must be a list", "$.pool")
+    def from_dict(cls, doc, path: str = "$") -> EulerSystemData:
+        doc = read_obj(doc, path)
+        eps = read_int(doc.get("epsilon"), f"{path}.epsilon", 0, 1)
+        k = read_int(doc.get("k"), f"{path}.k", 1)
         pool = tuple(
-            AdmissiblePrimeLabel.from_dict(p, f"$.pool[{i}]")
-            for i, p in enumerate(pool_doc)
+            AdmissiblePrimeLabel.from_dict(p, f"{path}.pool[{i}]")
+            for i, p in enumerate(read_list(doc.get("pool", []), f"{path}.pool"))
         )
+        delta_sim = doc.get("delta_sim")
+        if delta_sim is not None:
+            read_int(delta_sim, f"{path}.delta_sim")
 
         canonical = set()
 
-        def check_keys(name, raw):
+        def read_map(name):
+            at = f"{path}.{name}"
+            raw = read_obj(doc.get(name, {}), at)
             fresh = raw.keys() - canonical
             if not all(map(_is_canonical_key, fresh)):
                 key = next(k for k in raw if not _is_canonical_key(k))
                 raise InputError(
                     "index keys must be '1' or increasing prime ids >= 2 "
                     "joined by dots",
-                    f"$.{name}.{key}",
+                    f"{at}.{key}",
                 )
             canonical.update(fresh)
+            return at, raw
 
         def int_map(name):
-            raw = doc.get(name, {})
-            if not isinstance(raw, dict):
-                raise InputError(f"'{name}' must be an object", f"$.{name}")
-            check_keys(name, raw)
-            out = {}
-            for key, v in raw.items():
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise InputError(
-                        "values must be integers >= 0", f"$.{name}.{key}"
-                    )
-                out[key] = v
-            return out
+            at, raw = read_map(name)
+            if not all(type(v) is int and v >= 0 for v in raw.values()):
+                for key, v in raw.items():
+                    read_int(v, f"{at}.{key}", 0)
+            return dict(raw)
 
         def loc_map(name):
-            raw = doc.get(name, {})
-            if not isinstance(raw, dict):
-                raise InputError(f"'{name}' must be an object", f"$.{name}")
-            check_keys(name, raw)
+            at, raw = read_map(name)
             out = {}
             for key, per in raw.items():
-                if not isinstance(per, dict):
-                    raise InputError(
-                        "entries must map prime ids to integers", f"$.{name}.{key}"
-                    )
-                for ident, v in per.items():
+                for ident, v in read_obj(per, f"{at}.{key}").items():
                     # one text per id, or "3" and "03" would merge
-                    if not _PRIME_ID.fullmatch(ident) or int(ident) < 2:
+                    if not _PRIME_ID.fullmatch(ident) or ident == "1":
                         raise InputError(
                             "prime ids must be decimal integers >= 2",
-                            f"$.{name}.{key}.{ident}",
+                            f"{at}.{key}.{ident}",
                         )
-                    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                        raise InputError(
-                            "values must be integers >= 0",
-                            f"$.{name}.{key}.{ident}",
-                        )
+                    if type(v) is not int or v < 0:
+                        read_int(v, f"{at}.{key}.{ident}", 0)
                     out[(key, int(ident))] = v
             return out
 
-        delta_sim = doc.get("delta_sim")
-        if delta_sim is not None and (
-            isinstance(delta_sim, bool) or not isinstance(delta_sim, int)
-        ):
-            raise InputError("'delta_sim' must be an integer or null", "$.delta_sim")
         return cls(
             eps,
             k,

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError, InsufficientPrecision, NotTorsion, RingMismatch
+from .errors import (InputError, InsufficientPrecision, NotTorsion, RingMismatch,
+                     read_int, read_ints, read_list, read_obj)
 from .ring import TruncatedSeries, padic_valuation
 
 _PRINCIPAL_KINDS = ("Zp_mod_pk", "dvr")
@@ -63,7 +64,7 @@ class RingDescriptor:
         return self.p**self.K
 
 
-def _coerce_entry(ring: RingDescriptor, value):
+def _coerce_entry(ring: RingDescriptor, value, path: str = "$"):
     if ring.kind == "lambda":
         if isinstance(value, TruncatedSeries):
             if (value.p, value.K, value.m) != (ring.p, ring.K, ring.m):
@@ -74,11 +75,12 @@ def _coerce_entry(ring: RingDescriptor, value):
                 )
             return value
         if isinstance(value, (list, tuple)):
-            return TruncatedSeries.make(ring.p, ring.K, ring.m, list(value))
+            coeffs = read_ints(list(value), path)
+            return TruncatedSeries.make(ring.p, ring.K, ring.m, coeffs)
         raise RingMismatch(
             f"lambda entries must be series or coefficient lists, got {type(value).__name__}"
         )
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise RingMismatch(
             f"{ring.kind} entries must be integers, got {type(value).__name__}"
         )
@@ -118,49 +120,36 @@ class PresentationMatrix:
         return cls(ring, rows, cols, coerced)
 
     @classmethod
-    def from_dict(cls, doc) -> PresentationMatrix:
+    def from_dict(cls, doc, path: str = "$") -> PresentationMatrix:
         """Parse the JSON matrix document, reporting the offending path."""
-        if not isinstance(doc, dict):
-            raise InputError("expected an object", "$")
-        ring_doc = doc.get("ring")
-        if not isinstance(ring_doc, dict):
-            raise InputError("missing or non-object 'ring'", "$.ring")
+        doc = read_obj(doc, path)
+        ring_at = f"{path}.ring"
+        ring_doc = read_obj(doc.get("ring"), ring_at)
         kind = ring_doc.get("kind")
         if kind not in _KINDS:
-            raise InputError(
-                f"kind must be one of {list(_KINDS)}", "$.ring.kind"
-            )
-        params = {}
-        for name in ("p", "K") + (("m",) if kind == "lambda" else ()):
-            v = ring_doc.get(name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"'{name}' must be an integer", f"$.ring.{name}")
-            params[name] = v
-        try:
-            ring = RingDescriptor(kind, **params)
-        except RingMismatch as exc:
-            raise InputError(str(exc), "$.ring") from exc
-        rows, cols = doc.get("rows"), doc.get("cols")
-        for name, v in (("rows", rows), ("cols", cols)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise InputError(
-                    f"'{name}' must be a non-negative integer", f"${name and '.' + name}"
-                )
-        entries = doc.get("entries")
-        if not isinstance(entries, list) or len(entries) != rows:
-            raise InputError(f"'entries' must be a list of {rows} rows", "$.entries")
+            raise InputError(f"kind must be one of {list(_KINDS)}", f"{ring_at}.kind")
+        ring = RingDescriptor(
+            kind,
+            read_int(ring_doc.get("p"), f"{ring_at}.p", 2),
+            read_int(ring_doc.get("K"), f"{ring_at}.K", 1),
+            read_int(ring_doc.get("m"), f"{ring_at}.m", 1) if kind == "lambda" else None,
+        )
+        rows = read_int(doc.get("rows"), f"{path}.rows", 0)
+        cols = read_int(doc.get("cols"), f"{path}.cols", 0)
+        entries = read_list(doc.get("entries"), f"{path}.entries")
+        if len(entries) != rows:
+            raise InputError(f"must be a list of {rows} rows", f"{path}.entries")
         coerced = []
         for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != cols:
-                raise InputError(
-                    f"row must be a list of {cols} entries", f"$.entries[{i}]"
-                )
+            at = f"{path}.entries[{i}]"
+            if len(read_list(row, at)) != cols:
+                raise InputError(f"row must be a list of {cols} entries", at)
             out = []
             for j, e in enumerate(row):
                 try:
-                    out.append(_coerce_entry(ring, e))
-                except (RingMismatch, ValueError) as exc:
-                    raise InputError(str(exc), f"$.entries[{i}][{j}]") from exc
+                    out.append(_coerce_entry(ring, e, f"{at}[{j}]"))
+                except RingMismatch as exc:
+                    raise InputError(str(exc), f"{at}[{j}]") from exc
             coerced.append(tuple(out))
         return cls(ring, rows, cols, tuple(coerced))
 

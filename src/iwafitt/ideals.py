@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, NotASquare, RingMismatch, SupportCollision
+from .errors import (InputError, NotASquare, RingMismatch, SupportCollision,
+                     read_ints, read_list, read_obj, read_p)
 from .fitting import ElementaryDVRModule, fitting_from_structure
 from .ring import SpecializationRing, TruncatedSeries, weierstrass_divide
 
@@ -71,7 +72,9 @@ class HeightOnePrime:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.dist is None:
             return
-        coeffs = tuple(int(c) for c in self.dist)
+        coeffs = tuple(self.dist)
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs}")
         object.__setattr__(self, "dist", coeffs)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError(f"distinguished polynomial must be monic, got {coeffs}")
@@ -125,12 +128,13 @@ class HeightOnePrime:
     def from_dict(cls, doc, p: int, path: str = "$") -> HeightOnePrime:
         if doc == "PI":
             return cls.pi(p)
-        if isinstance(doc, dict) and isinstance(doc.get("dist"), list):
-            try:
-                return cls.polynomial(p, doc["dist"])
-            except ValueError as exc:
-                raise InputError(str(exc), f"{path}.dist") from exc
-        raise InputError('prime must be "PI" or {"dist": [c0,...,1]}', path)
+        if not isinstance(doc, dict):
+            raise InputError('prime must be "PI" or {"dist": [c0,...,1]}', path)
+        dist = read_ints(doc.get("dist"), f"{path}.dist")
+        try:
+            return cls.polynomial(p, dist)
+        except ValueError as exc:
+            raise InputError(str(exc), f"{path}.dist") from exc
 
     def to_dict(self):
         return "PI" if self.dist is None else {"dist": list(self.dist)}
@@ -174,38 +178,27 @@ class LambdaIdealFactored:
                 raise ValueError(f"exponents must be >= 0, got {g}")
 
     @classmethod
-    def from_dict(cls, doc, default_p: int = 3) -> LambdaIdealFactored:
-        if not isinstance(doc, dict):
-            raise InputError("expected an object", "$")
-        p = doc.get("p", default_p)
-        if isinstance(p, bool) or not isinstance(p, int) or p < 2:
-            raise InputError("'p' must be an integer >= 2", "$.p")
-        basis_doc = doc.get("basis")
-        if not isinstance(basis_doc, list):
-            raise InputError("missing 'basis' list", "$.basis")
+    def from_dict(
+        cls, doc, default_p: int = 3, path: str = "$"
+    ) -> LambdaIdealFactored:
+        doc = read_obj(doc, path)
+        p = read_p(doc, path, default_p)
+        basis_doc = read_list(doc.get("basis"), f"{path}.basis")
         basis = tuple(
-            HeightOnePrime.from_dict(b, p, f"$.basis[{i}]")
+            HeightOnePrime.from_dict(b, p, f"{path}.basis[{i}]")
             for i, b in enumerate(basis_doc)
         )
-        gens_doc = doc.get("generators")
-        if not isinstance(gens_doc, list) or not gens_doc:
-            raise InputError("'generators' must be a non-empty list", "$.generators")
-        gens = []
+        gens_doc = read_list(doc.get("generators"), f"{path}.generators")
+        if not gens_doc:
+            raise InputError("must be a non-empty list", f"{path}.generators")
         for i, g in enumerate(gens_doc):
-            if (
-                not isinstance(g, list)
-                or len(g) != len(basis)
-                or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in g)
-            ):
-                raise InputError(
-                    f"generator must be a list of {len(basis)} exponents >= 0",
-                    f"$.generators[{i}]",
-                )
-            gens.append(tuple(g))
+            at = f"{path}.generators[{i}]"
+            if len(read_ints(g, at, 0)) != len(basis):
+                raise InputError(f"generator must list {len(basis)} exponents", at)
         try:
-            return cls(basis, tuple(gens))
-        except (ValueError, RingMismatch) as exc:
-            raise InputError(str(exc), "$") from exc
+            return cls(basis, tuple(map(tuple, gens_doc)))
+        except ValueError as exc:
+            raise InputError(str(exc), f"{path}.basis") from exc
 
     @classmethod
     def from_series_generators(cls, basis, series_list) -> LambdaIdealFactored:
@@ -415,35 +408,22 @@ class ElementaryLambdaModule:
         )
 
     @classmethod
-    def from_dict(cls, doc, default_p: int = 3) -> ElementaryLambdaModule:
-        if not isinstance(doc, dict):
-            raise InputError("expected an object", "$")
-        p = doc.get("p", default_p)
-        if isinstance(p, bool) or not isinstance(p, int) or p < 2:
-            raise InputError("'p' must be an integer >= 2", "$.p")
-        comps_doc = doc.get("components")
-        if not isinstance(comps_doc, list):
-            raise InputError("missing 'components' list", "$.components")
+    def from_dict(
+        cls, doc, default_p: int = 3, path: str = "$"
+    ) -> ElementaryLambdaModule:
+        doc = read_obj(doc, path)
+        p = read_p(doc, path, default_p)
         comps = []
+        comps_doc = read_list(doc.get("components"), f"{path}.components")
         for i, c in enumerate(comps_doc):
-            if not isinstance(c, dict):
-                raise InputError("component must be an object", f"$.components[{i}]")
-            prime = HeightOnePrime.from_dict(
-                c.get("prime"), p, f"$.components[{i}].prime"
-            )
-            ks = c.get("exponents")
-            if not isinstance(ks, list) or any(
-                isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in ks
-            ):
-                raise InputError(
-                    "'exponents' must be a list of integers >= 0",
-                    f"$.components[{i}].exponents",
-                )
+            at = f"{path}.components[{i}]"
+            prime = HeightOnePrime.from_dict(read_obj(c, at).get("prime"), p, f"{at}.prime")
+            ks = read_ints(c.get("exponents"), f"{at}.exponents", 0)
             comps.append((prime, tuple(sorted(ks))))
         try:
             return cls(tuple(comps))
         except ValueError as exc:
-            raise InputError(str(exc), "$.components") from exc
+            raise InputError(str(exc), f"{path}.components") from exc
 
 
 def elementary_fitting_class(E: ElementaryLambdaModule, i: int) -> PseudoClass:
@@ -452,7 +432,7 @@ def elementary_fitting_class(E: ElementaryLambdaModule, i: int) -> PseudoClass:
     With all exponent lists zero-padded to the common width, the prime
     P picks up the sum of its first (width - i) exponents.
     """
-    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+    if type(i) is not int or i < 0:
         raise ValueError(f"index must be a non-negative integer, got {i!r}")
     ell = E.width
     primes, exps = [], []

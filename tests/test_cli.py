@@ -1,11 +1,19 @@
 """End-to-end CLI tests: golden outputs, exit codes, determinism."""
 
+import copy
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwafitt.cli import main
+from iwafitt.euler import AdmissiblePrimeLabel, SelmerShape, simulate_system
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -199,6 +207,16 @@ def test_unknown_flags_and_commands_are_rejected(capsys):
           "--stratum", "0", "--index", "0"], "--stratum"),
         (["euler", "stabilize", "--in", fx("stabilize.json"), "--stratum", "0"],
          "--stratum"),
+        (["euler", "c-ideal", "--in", fx("c_elements.json"), "--index", "2",
+          "--K", "0"], "--K"),
+        (["euler", "c-ideal", "--in", fx("c_elements.json"), "--index", "2",
+          "--m", "0"], "--m"),
+        (["euler", "verify", "--k", "0", "--in",
+          json.dumps({"data": {"epsilon": 0, "k": 3}, "shape": "0:"})], "--k"),
+        (["euler", "reconstruct", "--in", fx("reconstruct.json"), "--index", "-2"],
+         "--index"),
+        (["euler", "reconstruct", "--in", fx("reconstruct.json"), "--index", "8"],
+         "--index"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, flag, capsys):
@@ -223,9 +241,9 @@ def test_pool_ids_must_be_distinct_and_at_least_two(cmd, pool, capsys):
 @pytest.mark.parametrize(
     "doc,path",
     [
-        ({"epsilon": 0, "k": 3, "loc_ord": {"2": {"x": 1}}}, "$.loc_ord.2.x"),
-        ({"epsilon": 0, "k": 3, "ind_lambda": {"a.b": 1}}, "$.ind_lambda.a.b"),
-        ({"epsilon": 0, "k": 3, "loc_unr": {"3.2": {"5": 1}}}, "$.loc_unr.3.2"),
+        ({"epsilon": 0, "k": 3, "loc_ord": {"2": {"x": 1}}}, "$.data.loc_ord.2.x"),
+        ({"epsilon": 0, "k": 3, "ind_lambda": {"a.b": 1}}, "$.data.ind_lambda.a.b"),
+        ({"epsilon": 0, "k": 3, "loc_unr": {"3.2": {"5": 1}}}, "$.data.loc_unr.3.2"),
     ],
 )
 def test_verify_refuses_noncanonical_system_data(doc, path, capsys):
@@ -276,3 +294,207 @@ def test_selftest_filter_runs_named_criteria(capsys):
     assert "[PASS]" in err
     code, _, err = run(["selftest", "--filter", "zzz"], capsys)
     assert code == 2 and "--filter" in err
+
+
+# ------------------------------------------------------- malformed fields
+
+
+def load(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+LAMBDA_1x1 = {"ring": {"kind": "lambda", "p": 3, "K": 4, "m": 3}, "rows": 1, "cols": 1}
+QUADRATIC = {"dist": [3, 0, 1]}  # T^2+3 is a prime but starts no tower
+
+
+MALFORMED = [
+    (["lambda-module", "specialize", "--stratum", "3", "--index", "0"],
+     {**load("module.json"), "prime": QUADRATIC}, "$.prime"),
+    (["lambda-module", "slope", "--index", "0"],
+     {**load("module.json"), "prime": QUADRATIC}, "$.prime"),
+    (["euler", "stabilize", "--stratum", "1"],
+     {**load("stabilize.json"), "prime": QUADRATIC}, "$.prime"),
+    (["lambda-module", "parity"],
+     {"rows": [{"j": "x", "exponents": [1]}, {"j": 3, "exponents": [1]}]},
+     "$.rows[0].j"),
+    (["lambda-module", "parity"],
+     {"rows": [{"j": 3, "exponents": [1]}, {"j": 4.5, "exponents": [1]}]},
+     "$.rows[1].j"),
+    (["lambda-module", "parity"],
+     {"rows": [{"j": 3, "exponents": "ab"}, {"j": 4, "exponents": "cd"}]},
+     "$.rows[0].exponents"),
+    (["lambda-module", "parity"],
+     {"rows": [{"j": 3, "exponents": [1]}, {"j": 4, "exponents": [-1]}]},
+     "$.rows[1].exponents[0]"),
+    (["ideal", "ord"],
+     {"p": 3, "basis": ["PI"], "generators": [[1]], "prime": {"dist": [3.9, 1]}},
+     "$.prime.dist[0]"),
+    (["fitt", "--index", "0"], {**LAMBDA_1x1, "entries": [[[3.5]]]},
+     "$.entries[0][0][0]"),
+    (["fitt", "--index", "0"], {**LAMBDA_1x1, "entries": [[["a"]]]},
+     "$.entries[0][0][0]"),
+    (["lambda-module", "slope", "--index", "0"], {**load("module.json"), "p": "x"},
+     "$.p"),
+    (["lambda-module", "specialize", "--stratum", "3", "--index", "0"],
+     {**load("module.json"), "p": "x"}, "$.p"),
+    (["euler", "c-ideal", "--index", "2"], {**load("c_elements.json"), "p": "x"},
+     "$.p"),
+    (["euler", "stabilize", "--stratum", "1"], {**load("stabilize.json"), "p": "x"},
+     "$.p"),
+    (["euler", "c-ideal", "--index", "2"], {**load("c_elements.json"), "K": 0},
+     "$.K"),
+    (["euler", "c-ideal", "--index", "2"], {**load("c_elements.json"), "m": 0},
+     "$.m"),
+    (["euler", "c-ideal", "--index", "2"], {**load("c_elements.json"), "e": True},
+     "$.e"),
+    (["euler", "reconstruct", "--index", "0"], {**load("reconstruct.json"), "e": 5},
+     "$.e"),
+    (["euler", "reconstruct"], {"e": 1, "delta_values": {"1": 4, "5": 1}},
+     "$.delta_values"),
+    (["euler", "verify"], {"data": {"epsilon": 0, "k": 3}, "shape": {"e": True}},
+     "$.shape.e"),
+    (["euler", "verify"], {"data": {"epsilon": 0, "k": "2"}, "shape": "0:"},
+     "$.data.k"),
+    (["euler", "verify"], {"data": {"epsilon": True, "k": 2}, "shape": "0:"},
+     "$.data.epsilon"),
+    (["ideal", "prec"],
+     {**load("pair.json"), "right": {"basis": ["PI"], "generators": [["x"]]}},
+     "$.right.generators[0][0]"),
+    (["ideal", "ord"], {**load("ord.json"), "ideal": {"basis": "PI"}},
+     "$.ideal.basis"),
+    (["lambda-module", "fitt-class", "--index", "0"],
+     {"module": {"components": [{"prime": "PI", "exponents": [1.0]}]}},
+     "$.module.components[0].exponents[0]"),
+    (["euler", "stabilize", "--stratum", "1"],
+     {**load("stabilize.json"), "family": {"1": 3, "2": {"basis": 1}}},
+     "$.family.2.basis"),
+    (["fitt", "--index", "0"],
+     {"ring": {"kind": "dvr", "p": 1, "K": 3}, "rows": 0, "cols": 0, "entries": []},
+     "$.ring.p"),
+]
+
+
+@pytest.mark.parametrize("argv,doc,path", MALFORMED)
+def test_malformed_fields_name_their_path(argv, doc, path, capsys):
+    code, out, err = run(argv + ["--in", json.dumps(doc)], capsys)
+    assert code == 2 and out == ""
+    assert f"input error at {path}:" in err
+
+
+def test_malformed_input_prints_no_traceback():
+    doc = {**load("module.json"), "prime": QUADRATIC}
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwafitt.cli", "lambda-module", "slope",
+         "--index", "0", "--in", json.dumps(doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "input error at $.prime:" in proc.stderr
+
+
+# ------------------------------------------------------------------ fuzz
+
+
+def _small_system():
+    pool = [AdmissiblePrimeLabel(i, 6) for i in (2, 3, 5, 7, 11, 13)]
+    data, _ = simulate_system(SelmerShape(0, (1,)), 3, pool, seed=11)
+    return data.to_dict()
+
+
+FUZZ_BASES = [
+    (["fitt", "--index", "1"], load("diag123.json")),
+    (["fitt", "--index", "1", "--K", "3"], {**LAMBDA_1x1, "entries": [[[3, 1]]]}),
+    (["ideal", "ord"], load("ord.json")),
+    (["ideal", "prec"], load("pair.json")),
+    (["ideal", "sim"], load("pair.json")),
+    (["ideal", "principal"], load("ord.json")),
+    (["ideal", "sqrt"], load("sq.json")),
+    (["lambda-module", "fitt-class", "--index", "1"], load("module.json")),
+    (["lambda-module", "specialize", "--stratum", "3", "--index", "0"],
+     load("module.json")),
+    (["lambda-module", "slope", "--index", "0"], load("module.json")),
+    (["lambda-module", "parity"], load("parity.json")),
+    (["euler", "reconstruct", "--index", "0"], load("reconstruct.json")),
+    (["euler", "c-ideal", "--index", "2"], load("c_elements.json")),
+    (["euler", "c-ideal", "--index", "1", "--side", "kappa", "--K", "5"],
+     load("c_elements.json")),
+    (["euler", "stabilize", "--stratum", "1"], load("stabilize.json")),
+    (["euler", "stabilize", "--stratum", "2"],
+     {**load("stabilize.json"), "prime": {"dist": [0, 1]},
+      "family": {"1": load("sq.json"), "2": load("ord.json")["ideal"], "3": 1}}),
+    (["euler", "verify"], {"data": _small_system(), "shape": {"e": 0, "d": [1]}}),
+] + [(argv, doc) for argv, doc, _ in MALFORMED]
+
+# Replacement values stay small, so no mutant asks for a large computation.
+ODD_VALUES = [None, True, False, 0, -1, 1, 2, 1.5, "x", "PI", "", [], [1], {},
+              {"dist": [0, 1]}]
+ODD_KEYS = ["", "x", "0", "-1", "1.5", " 2", "03", "1"]
+INT_FLAGS = ["--index", "--stratum", "--K", "--m", "--k", "--seed"]
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+def _perturb(value, draw):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + draw(st.sampled_from([-2, -1, 1, 2]))
+    if isinstance(value, str):
+        return value + draw(st.sampled_from(["", "x", ".2", ",1", ":"]))
+    if isinstance(value, list):
+        return value[1:] if value and draw(st.booleans()) else value + value[:1]
+    if isinstance(value, dict):
+        return {**value, "x": 1}
+    return draw(st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def mutants(draw):
+    argv, doc = draw(st.sampled_from(FUZZ_BASES))
+    argv = list(argv)
+    holder = {"doc": copy.deepcopy(doc)}
+    if draw(st.booleans()):
+        node, key = draw(st.sampled_from(list(_slots(holder))))
+        op = draw(st.sampled_from(["drop", "retype", "perturb", "rekey"]))
+        if op == "drop":
+            del node[key]
+        elif op == "retype":
+            node[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif op == "perturb":
+            node[key] = _perturb(node[key], draw)
+        elif isinstance(node, dict) and node is not holder:
+            node[draw(st.sampled_from(ODD_KEYS))] = node.pop(key)
+    else:
+        flag = draw(st.sampled_from(INT_FLAGS))
+        if flag in argv and draw(st.booleans()):
+            at = argv.index(flag)
+            del argv[at:at + 2]
+        else:
+            argv += [flag, str(draw(st.integers(-2, 6)))]
+    if "doc" in holder:
+        argv += ["--in", json.dumps(holder["doc"])]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutants())
+def test_cli_contract_holds_for_mutated_inputs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2)
+    if out:
+        assert out.count("\n") == 1
+        canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+        assert out == canonical + "\n"

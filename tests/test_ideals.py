@@ -57,6 +57,8 @@ def test_prime_validation():
         HeightOnePrime.polynomial(3, [1, 1])  # constant term is a unit
     with pytest.raises(ValueError):
         HeightOnePrime.polynomial(3, [3, 2])  # not monic
+    with pytest.raises(ValueError):
+        HeightOnePrime.polynomial(3, [3.9, 1])  # coefficients are integers
 
 
 def test_quadratic_irreducibility_is_decided():
