@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 
 from . import acceptance
-from .errors import (InputError, IwafittError, read_int, read_ints, read_list,
-                     read_obj, read_p)
+from .errors import (InputError, IwafittError, read_int, read_int_key, read_ints,
+                     read_list, read_obj, read_p)
 from .euler import (
     AdmissiblePrimeLabel,
     EulerSystemData,
@@ -353,11 +353,7 @@ def _cmd_euler_reconstruct(args):
     dv = {}
     for key, value in read_obj(doc.get("delta_values"), "$.delta_values").items():
         at = f"$.delta_values.{key}"
-        try:
-            j = int(key)
-        except ValueError as exc:
-            raise InputError("stratum keys must be integers", at) from exc
-        dv[j] = read_int(value, at, 0)
+        dv[read_int_key(key, at)] = read_int(value, at, 0)
     e = read_int(doc.get("e"), "$.e", 0, 1)
     try:
         shape = reconstruct_shape(dv, e)
@@ -405,11 +401,7 @@ def _cmd_euler_stabilize(args):
     family = {}
     for key, value in read_obj(doc.get("family"), "$.family").items():
         at = f"$.family.{key}"
-        try:
-            k = int(key)
-        except ValueError as exc:
-            raise InputError("family keys must be integers", at) from exc
-        family[k] = (
+        family[read_int_key(key, at)] = (
             value if type(value) is int
             else LambdaIdealFactored.from_dict(value, p, at)
         )

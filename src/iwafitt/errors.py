@@ -75,6 +75,21 @@ def read_int(value, path: str, lo: int | None = None, hi: int | None = None) -> 
     return value
 
 
+def read_int_key(key: str, path: str) -> int:
+    """An object key naming an integer, written as ``str`` writes it.
+
+    "03", " 3", "+3" and "1_0" are refused rather than read as 3 or 10,
+    so two keys of one map never name the same integer.
+    """
+    try:
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or str(value) != key:
+        raise InputError("key must be a canonical decimal integer", path)
+    return value
+
+
 def read_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise InputError("must be a list", path)

@@ -115,9 +115,11 @@ class SelmerShape:
     d: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.e not in (0, 1):
-            raise ValueError(f"e must be 0 or 1, got {self.e}")
-        d = tuple(int(x) for x in self.d)
+        if type(self.e) is not int or self.e not in (0, 1):
+            raise ValueError(f"e must be 0 or 1, got {self.e!r}")
+        d = tuple(self.d)
+        if any(type(x) is not int for x in d):
+            raise ValueError(f"d entries must be integers, got {d}")
         while d and d[-1] == 0:
             d = d[:-1]
         object.__setattr__(self, "d", d)

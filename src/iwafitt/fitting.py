@@ -16,8 +16,12 @@ at precision, where every minor sits above what precision K can see.
 Over the series ring the ideal is the raw deduplicated list of minors,
 and any further normalization is left to the ideal calculus layer. One
 memoized minor enumerator serves the series ring and the slow
-principal-kind oracle ``minor_fitting_exponent``. The DVR kind also gets
-the elementary-divisor reading of a torsion cokernel.
+principal-kind oracle ``minor_fitting_exponent``. It works on plain
+coefficient tuples mod p^K (length m for series, length 1 for the
+principal kinds), packed into one integer each so that a Laplace term
+is one integer product, and reduces once per minor; only the distinct
+generators kept are built as series. The DVR kind also gets the
+elementary-divisor reading of a torsion cokernel.
 """
 
 from __future__ import annotations
@@ -208,42 +212,75 @@ class FittingIdealResult:
         return {"index": self.index, "exponent": self.exponent}
 
 
-def _minors(M: PresentationMatrix, r: int, one, zero):
+def _minors(M: PresentationMatrix, r: int):
     """Yield every r x r minor of M, row subsets outer, column subsets inner.
 
-    Laplace expansion along the first row, memoized on (row-subset,
-    col-subset), over any ring with +, - and *; integers stay exact.
+    A minor is a coefficient tuple mod p^K: length m over the series
+    ring, length 1 over the principal kinds. Laplace expansion along the
+    first row, memoized on (row-subset, col-subset) for this call only.
+
+    Each tuple c is packed into the integer sum c_k * 2^(w*k) (Kronecker
+    substitution), so one integer product is a whole polynomial product.
+    All packed values have slots in [0, p^K): odd Laplace terms use the
+    entry's negation mod p^K. A slot of an unreduced sum then stays below
+    cols * m * p^2K < 2^w, so no slot carries into the next, and each
+    minor is reduced once, slot by slot, truncated at T^m.
     """
-    entries = M.entries
+    ring = M.ring
+    if ring.kind == "lambda":
+        m, entries = ring.m, [[e.coeffs for e in row] for row in M.entries]
+    else:
+        m, entries = 1, [[(e,) for e in row] for row in M.entries]
+    q = ring.modulus
+    w = (M.cols * m * q * q).bit_length()
+    rows = tuple(
+        tuple((_pack(cs, q, w), _pack([-c for c in cs], q, w)) for cs in row)
+        for row in entries
+    )
     memo = {}
-
-    def det(rs, cs):
-        if not rs:
-            return one
-        key = (rs, cs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r0 = rs[0]
-        total = zero
-        for idx, c in enumerate(cs):
-            a = entries[r0][c]
-            if a != zero:
-                term = a * det(rs[1:], cs[:idx] + cs[idx + 1 :])
-                total = total + term if idx % 2 == 0 else total - term
-        memo[key] = total
-        return total
-
+    mask = (1 << w) - 1
     for rs in combinations(range(M.rows), r):
         for cs in combinations(range(M.cols), r):
-            yield det(rs, cs)
+            x = _laplace(rows, rs, cs, q, m, w, memo)
+            yield tuple((x >> (w * k)) & mask for k in range(m))
+
+
+def _pack(coeffs, q: int, w: int) -> int:
+    return sum(c % q << (w * k) for k, c in enumerate(coeffs))
+
+
+def _laplace(rows, rs, cs, q: int, m: int, w: int, memo: dict) -> int:
+    """The packed minor on rows rs and columns cs, reduced mod q below T^m.
+
+    A plain recursive function rather than a closure, so the memo holds
+    no reference cycle and is freed as soon as the enumeration is dropped.
+    """
+    if len(rs) == 1:
+        return rows[rs[0]][cs[0]][0]
+    key = (rs, cs)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    row = rows[rs[0]]
+    rest = rs[1:]
+    acc = 0
+    for idx, c in enumerate(cs):
+        a = row[c][idx % 2]
+        if a:
+            acc += a * _laplace(rows, rest, cs[:idx] + cs[idx + 1 :], q, m, w, memo)
+    mask = (1 << w) - 1
+    out = 0
+    for k in range(m):
+        out |= ((acc >> (w * k)) & mask) % q << (w * k)
+    memo[key] = out
+    return out
 
 
 def _minor_valuation(M: PresentationMatrix, r: int) -> int:
     """Min valuation over all r x r minors; K when all sit at the floor."""
     p, K = M.ring.p, M.ring.K
     best = K
-    for d in _minors(M, r, 1, 0):
+    for (d,) in _minors(M, r):
         best = min(best, padic_valuation(p, d, K))
         if best == 0:
             break
@@ -309,15 +346,18 @@ def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
     one = TruncatedSeries.one(ring.p, ring.K, ring.m)
     if r <= 0:
         return FittingIdealResult(i, ring.kind, generators=(one,))
-    gens = {}
+    gens = {}  # coefficient tuples, in first-seen order
     if r <= min(M.rows, M.cols):
-        for g in _minors(M, r, one, TruncatedSeries.zero(ring.p, ring.K, ring.m)):
-            if g.is_unit():
-                gens = {one.coeffs: one}
+        for g in _minors(M, r):
+            if g[0] % ring.p:
+                gens = {one.coeffs: None}
                 break
-            if not g.is_zero():
-                gens.setdefault(g.coeffs, g)
-    return FittingIdealResult(i, ring.kind, generators=tuple(gens.values()))
+            if any(g):
+                gens[g] = None
+    return FittingIdealResult(
+        i, ring.kind,
+        generators=tuple(TruncatedSeries(ring.p, ring.K, ring.m, g) for g in gens),
+    )
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,9 @@ class LambdaIdealFactored:
 
     def __post_init__(self) -> None:
         basis = tuple(self.basis)
-        gens = tuple(tuple(int(e) for e in g) for g in self.generators)
+        gens = tuple(tuple(g) for g in self.generators)
+        if any(type(e) is not int for g in gens for e in g):
+            raise ValueError(f"exponents must be integers, got {gens}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "generators", gens)
         if len(set(basis)) != len(basis):
@@ -307,8 +309,10 @@ class PseudoClass:
     exponents: tuple
 
     def __post_init__(self) -> None:
+        if any(type(e) is not int for e in self.exponents):
+            raise ValueError(f"class exponents must be integers, got {self.exponents}")
         pairs = [
-            (pr, int(e))
+            (pr, e)
             for pr, e in zip(self.primes, self.exponents)
             if e != 0
         ]
@@ -382,14 +386,14 @@ class ElementaryLambdaModule:
     components: tuple
 
     def __post_init__(self) -> None:
-        comps = tuple(
-            (pr, tuple(int(k) for k in ks)) for pr, ks in self.components
-        )
+        comps = tuple((pr, tuple(ks)) for pr, ks in self.components)
         object.__setattr__(self, "components", comps)
         primes = [pr for pr, _ in comps]
         if len(set(primes)) != len(primes):
             raise ValueError("components must use pairwise distinct primes")
         for pr, ks in comps:
+            if any(type(k) is not int for k in ks):
+                raise ValueError(f"exponents at {pr.label()} must be integers, got {ks}")
             if any(k < 0 for k in ks):
                 raise ValueError(f"exponents at {pr.label()} must be >= 0")
             if any(a > b for a, b in zip(ks, ks[1:])):

@@ -376,10 +376,14 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
     contribution is invisible past the truncation. We return the canonical
     pair, the unique one with deg(U) <= m-1-deg(P). Algorithm: strip the
     p-power content, seed P = T^d at the lowest unit coefficient, then run
-    Newton iteration on P alone. Each round recomputes U as the exact
-    polynomial quotient of g by the monic candidate P and pushes the
-    remainder into a correction of P, so the degree bound on U holds by
-    construction. Quadratic convergence, O(log K) rounds of O(m^2) work.
+    quadratic Hensel lifting on P and the inverse w of U mod P together
+    (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4). Each round
+    recomputes U as the exact polynomial quotient of g by the monic
+    candidate P, so the degree bound on U holds by construction; takes one
+    Newton step w <- w*(2 - U*w) mod P, after seeding w mod p once; and
+    adds the remainder times w mod P to P. P and w both double their
+    p-adic precision each round: O(log K) rounds, each two long divisions
+    by P (O(m*d) for d = deg P) and three products mod P (O(d^2)).
 
     Raises:
         InsufficientPrecision: if f is 0 at precision K (mu cannot be
@@ -406,30 +410,29 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
         red = _monic_divmod(prod, P, q)[1]
         return red + [0] * (d - len(red))
 
-    U = list(g.coeffs)
+    w = None  # inverse of U mod (P, p^k), its precision doubling with P's
     for _ in range(Kp.bit_length() + 2):
         U, err = _monic_divmod(g.coeffs, P, q)
         if all(c == 0 for c in err):
             break
-        # invert U mod (P, q): seed mod p via series recursion (P = T^d
-        # mod p), then lift with w <- w*(2 - U*w) which doubles precision
         ubar = _monic_divmod(U, P, q)[1]
-        u0_inv = pow(ubar[0], -1, p)
-        w = [0] * d
-        w[0] = u0_inv
-        for k in range(1, d):
-            acc = sum(ubar[t] * w[k - t] for t in range(1, k + 1))
-            w[k] = (-u0_inv * acc) % p
-        for _ in range(Kp.bit_length() + 1):
-            uw = mul_mod_p_poly(ubar, w)
-            corr = [(-c) % q for c in uw]
-            corr[0] = (corr[0] + 2) % q
-            w = mul_mod_p_poly(w, corr)
+        if w is None:
+            # seed mod p by series recursion, as P = T^d mod p
+            u0_inv = pow(ubar[0], -1, p)
+            w = [0] * d
+            w[0] = u0_inv
+            for k in range(1, d):
+                acc = sum(ubar[t] * w[k - t] for t in range(1, k + 1))
+                w[k] = (-u0_inv * acc) % p
+        # one step w <- w*(2 - U*w) per round keeps pace with the factor
+        corr = [(-c) % q for c in mul_mod_p_poly(ubar, w)]
+        corr[0] = (corr[0] + 2) % q
+        w = mul_mod_p_poly(w, corr)
         delta = mul_mod_p_poly(err, w)
         for t in range(d):
             P[t] = (P[t] + delta[t]) % q
     else:
-        err = _monic_divmod(g.coeffs, P, q)[1]
+        U, err = _monic_divmod(g.coeffs, P, q)
         if any(c != 0 for c in err):
             raise InsufficientPrecision("factor lift did not converge")
 

@@ -371,6 +371,22 @@ MALFORMED = [
     (["fitt", "--index", "0"],
      {"ring": {"kind": "dvr", "p": 1, "K": 3}, "rows": 0, "cols": 0, "entries": []},
      "$.ring.p"),
+    # stratum and family keys are canonical decimals, so no two name one integer
+    (["euler", "reconstruct"],
+     {"e": 1, "delta_values": {"1": 4, "3": 2, "5": 1, "7": 1, "03": 9}},
+     "$.delta_values.03"),
+    (["euler", "reconstruct"],
+     {"e": 1, "delta_values": {"1": 4, " 3": 2, "5": 1, "7": 1}},
+     "$.delta_values. 3"),
+    (["euler", "reconstruct"],
+     {"e": 1, "delta_values": {"+1": 4, "3": 2, "5": 1, "7": 1}},
+     "$.delta_values.+1"),
+    (["euler", "stabilize", "--stratum", "1"],
+     {**load("stabilize.json"), "family": {"1": 3, "2": 2, "02": 5, "3": 2}},
+     "$.family.02"),
+    (["euler", "stabilize", "--stratum", "1"],
+     {**load("stabilize.json"), "family": {"1": 3, "+2": 2, "3": 2}},
+     "$.family.+2"),
 ]
 
 

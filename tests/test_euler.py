@@ -78,6 +78,9 @@ def test_shape_rejects_bad_input():
         SelmerShape(0, (1, 2))  # increasing
     with pytest.raises(ValueError):
         SelmerShape(0, (-1,))
+    for e, d in ((True, ()), (1.0, ()), (0, (2.0,)), (0, ("1",)), (0, (True,))):
+        with pytest.raises(ValueError):
+            SelmerShape(e, d)  # was read through int() or `in (0, 1)`
     with pytest.raises(ValueError):
         SelmerShape.from_string("2:1")
     with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Minor enumeration, diagonalization, and the structure formulas."""
 
-import time
-
+import gc
 import random
+import time
+from itertools import combinations
 
 import pytest
 import sympy
@@ -409,6 +410,94 @@ def test_series_fitting_unit_minor_short_circuits():
     assert fitting_ideal(M, 2).generators[0].is_unit()
     wide = PresentationMatrix.make(LAM, [[[0, 1]], [[3]]])
     assert fitting_ideal(wide, 0).generators == ()
+
+
+def reference_series_generators(M, i):
+    """Slow oracle: the generator tuples of the lambda ideal, from series.
+
+    Laplace expansion along the first row with every product and sum a
+    ``TruncatedSeries`` operation, then the first-seen deduplication,
+    zero dropping and unit short-circuit of ``fitting_ideal``.
+    """
+    ring = M.ring
+    one = TruncatedSeries.one(ring.p, ring.K, ring.m)
+    zero = TruncatedSeries.zero(ring.p, ring.K, ring.m)
+    r = M.rows - i
+    if r <= 0:
+        return [one.coeffs]
+    if r > min(M.rows, M.cols):
+        return []
+    memo = {}
+
+    def det(rs, cs):
+        if not rs:
+            return one
+        if (rs, cs) not in memo:
+            total = zero
+            for idx, c in enumerate(cs):
+                a = M.entries[rs[0]][c]
+                if a != zero:
+                    term = a * det(rs[1:], cs[:idx] + cs[idx + 1 :])
+                    total = total + term if idx % 2 == 0 else total - term
+            memo[rs, cs] = total
+        return memo[rs, cs]
+
+    gens = {}
+    for rs in combinations(range(M.rows), r):
+        for cs in combinations(range(M.cols), r):
+            g = det(rs, cs)
+            if g.is_unit():
+                return [one.coeffs]
+            if not g.is_zero():
+                gens.setdefault(g.coeffs, None)
+    return list(gens)
+
+
+@st.composite
+def series_matrices(draw):
+    """Rectangular lambda matrices, some entries zero, some units."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    K, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    unit_odds = draw(st.sampled_from((0, 0.1, 0.5)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    q = p**K
+
+    def entry():
+        if rnd.random() < 0.3:
+            return [0]
+        cs = [rnd.randrange(q) for _ in range(m)]
+        if rnd.random() >= unit_odds:
+            cs[0] = cs[0] * p % q
+        return cs
+
+    entries = [[entry() for _ in range(k)] for _ in range(n)]
+    return PresentationMatrix.make(RingDescriptor("lambda", p, K, m), entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_matrices())
+def test_series_generators_match_series_laplace_oracle(M):
+    for i in range(M.rows + 2):
+        got = [g.coeffs for g in fitting_ideal(M, i).generators]
+        assert got == reference_series_generators(M, i)
+
+
+def test_minor_memo_is_freed_without_the_cycle_collector():
+    unit = PresentationMatrix.make(LAM, [[[3, 1], [1]], [[0, 1], [3]]])
+    full = PresentationMatrix.make(LAM, [[[3, 1], [0, 1]], [[0, 1], [3, 3]]])
+    D = dvr_matrix([[3, 1, 0], [0, 9, 3], [1, 0, 27]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert fitting_ideal(unit, 1).generators[0].is_unit()  # early break
+        assert gc.collect() == 0
+        assert len(fitting_ideal(full, 0).generators) == 1  # full enumeration
+        assert gc.collect() == 0
+        assert [minor_fitting_exponent(D, i) for i in (0, 1)] == [1, 0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------- JSON

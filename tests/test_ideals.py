@@ -61,6 +61,22 @@ def test_prime_validation():
         HeightOnePrime.polynomial(3, [3.9, 1])  # coefficients are integers
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LambdaIdealFactored((PI,), ((1.5,),)),
+    lambda: LambdaIdealFactored((PI, T), ((1, "2"),)),
+    lambda: LambdaIdealFactored((PI,), ((True,),)),
+    lambda: ElementaryLambdaModule(((PI, (1, 2.0)),)),
+    lambda: ElementaryLambdaModule(((T, ("1",)),)),
+    lambda: PseudoClass((PI, T), (1, 2.5)),
+    lambda: PseudoClass((PI,), (True,)),
+], ids=["ideal-float", "ideal-str", "ideal-bool", "module-float", "module-str",
+        "class-float", "class-bool"])
+def test_library_exponents_must_be_integers(build):
+    # these were silently run through int(): (1.5,) held the generator (1,)
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
 def test_quadratic_irreducibility_is_decided():
     # Eisenstein at 3
     assert HeightOnePrime.polynomial(3, [3, 0, 1]).verified

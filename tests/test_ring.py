@@ -187,6 +187,89 @@ def test_prepare_with_wraparound_keeps_recompose_contract():
     assert w.recompose(7) == f
 
 
+def _long_division(coeffs, P, q):
+    """Quotient and remainder of a coefficient list by monic P, mod q."""
+    d = len(P) - 1
+    rem, quot = list(coeffs), [0] * len(coeffs)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        quot[i - d] = c
+        for t in range(d + 1):
+            rem[i - d + t] = (rem[i - d + t] - c * P[t]) % q
+    return quot, rem[:d]
+
+
+def reference_prepare(f):
+    """Slow oracle: Newton on P, the inverse of U rebuilt in every round.
+
+    Each round seeds the inverse w of U mod (P, p) afresh and runs a fixed
+    K'.bit_length() + 1 Newton steps on it before correcting P. Returns
+    (mu, P coefficients, U coefficients) at precision K' = K - mu.
+    """
+    if f.is_zero():
+        raise InsufficientPrecision("series is 0")
+    mu = f.content_valuation()
+    g = f.divide_content(mu)
+    p, m, q, Kp = g.p, g.m, g.modulus, g.K
+    d = next(i for i, c in enumerate(g.coeffs) if c % p)
+    P = [0] * d + [1]
+
+    def mul_mod_P(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        red = _long_division([c % q for c in prod], P, q)[1]
+        return red + [0] * (d - len(red))
+
+    for _ in range(Kp.bit_length() + 2):
+        U, err = _long_division(g.coeffs, P, q)
+        if not any(err):
+            break
+        ubar = _long_division(U, P, q)[1]
+        w = [pow(ubar[0], -1, p)] + [0] * (d - 1)
+        for k in range(1, d):
+            w[k] = -w[0] * sum(ubar[t] * w[k - t] for t in range(1, k + 1)) % p
+        for _ in range(Kp.bit_length() + 1):
+            corr = [-c % q for c in mul_mod_P(ubar, w)]
+            corr[0] = (corr[0] + 2) % q
+            w = mul_mod_P(w, corr)
+        delta = mul_mod_P(err, w)
+        P = [(a + b) % q for a, b in zip(P, delta)] + [1]
+    else:
+        raise InsufficientPrecision("factor lift did not converge")
+    return mu, tuple(P + [0] * (m - d - 1)), tuple(U)
+
+
+@st.composite
+def prepare_inputs(draw):
+    """Series at p in {2, 3, 5, 7}, K <= 70, m <= 40: content, zero, wide d."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    K, m = draw(st.integers(1, 70)), draw(st.integers(1, 40))
+    q = p**K
+    if draw(st.integers(0, 19)) == 0:
+        return TruncatedSeries.zero(p, K, m)
+    d = draw(st.integers(0, m - 1))
+    cs = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    cs = [c * p for c in cs[:d]] + [cs[d] * p + draw(st.integers(1, p - 1))] + cs[d + 1 :]
+    mu = draw(st.sampled_from((0, 0, 1, 2, K - 1, K)))
+    return S(p, K, m, [c * p**mu for c in cs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(prepare_inputs())
+def test_prepare_matches_fixed_count_inverse_oracle(f):
+    try:
+        expected = reference_prepare(f)
+    except InsufficientPrecision:
+        with pytest.raises(InsufficientPrecision):
+            weierstrass_prepare(f)
+        return
+    w = weierstrass_prepare(f)
+    assert (w.mu, w.distinguished.coeffs, w.unit.coeffs) == expected
+    assert w.distinguished.K == w.unit.K == f.K - w.mu
+
+
 # --------------------------------------------------- Weierstrass division
 
 def test_divide_by_self():
