@@ -16,15 +16,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import acceptance
-from .errors import (InputError, IwafittError, read_int, read_int_key, read_ints,
-                     read_list, read_obj, read_p)
+from .errors import (InputError, IwafittError, parse_decimal, read_int, read_int_key,
+                     read_ints, read_list, read_obj, read_p)
 from .euler import (
     AdmissiblePrimeLabel,
     EulerSystemData,
     SelmerShape,
+    check_index_keys,
     construct_C,
     construct_D,
     reciprocity_check,
@@ -53,17 +53,6 @@ from .ideals import (
 from .ring import TruncatedSeries
 
 _POOL_IDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
-
-@dataclass
-class RunReport:
-    """What one invocation produced: echo, banner, payload, verdict, time."""
-
-    echo: str
-    banner: str
-    payload: dict
-    passed: bool
-    seconds: float
 
 
 def _canonical(payload) -> str:
@@ -143,18 +132,20 @@ def _shape_from_doc(obj, path):
 
 
 def _parse_pool(text, k):
-    """Comma list of id[:k_ell[:g|n]]; bare k_ell defaults to 2k."""
+    """Comma list of id[:k_ell[:g|n]]; bare k_ell defaults to 2k.
+
+    Ids and k_ell are canonical decimals, so "02" and "+3" are refused.
+    """
     labels = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         bits = part.split(":")
-        try:
-            ident = int(bits[0])
-            k_ell = int(bits[1]) if len(bits) > 1 and bits[1] else 2 * k
-        except ValueError as exc:
-            raise InputError(f"bad pool entry {part!r}", "--pool") from exc
+        ident = parse_decimal(bits[0])
+        k_ell = parse_decimal(bits[1]) if len(bits) > 1 and bits[1] else 2 * k
+        if ident is None or k_ell is None:
+            raise InputError(f"bad pool entry {part!r}", "--pool")
         generic = True
         if len(bits) > 2:
             if bits[2] not in ("g", "n"):
@@ -382,9 +373,11 @@ def _cmd_euler_c_ideal(args):
         HeightOnePrime.from_dict(b, p, f"$.basis[{i}]")
         for i, b in enumerate(basis_doc)
     )
+    elements_doc = read_obj(doc.get("elements"), "$.elements")
+    check_index_keys(elements_doc, "$.elements")
     elements = {
         key: TruncatedSeries.make(p, K, m, read_ints(coeffs, f"$.elements.{key}"))
-        for key, coeffs in read_obj(doc.get("elements"), "$.elements").items()
+        for key, coeffs in elements_doc.items()
     }
     e = read_int(doc.get("e"), "$.e", 0, 1)
     build = construct_D if args.side == "kappa" else construct_C
@@ -523,16 +516,16 @@ def _build_parser():
     return parser
 
 
-def _emit(report: RunReport, args) -> None:
-    print(f"# iwafitt {report.echo}", file=sys.stderr)
-    if report.banner:
-        print(f"# {report.banner}", file=sys.stderr)
-    print(f"# {'pass' if report.passed else 'FAIL'} in "
-          f"{report.seconds * 1000:.0f} ms", file=sys.stderr)
+def _emit(args, echo, banner, payload, passed, seconds) -> None:
+    print(f"# iwafitt {echo}", file=sys.stderr)
+    if banner:
+        print(f"# {banner}", file=sys.stderr)
+    print(f"# {'pass' if passed else 'FAIL'} in {seconds * 1000:.0f} ms",
+          file=sys.stderr)
     if args.format == "text":
-        body = "\n".join(_text_lines(report.payload)) + "\n"
+        body = "\n".join(_text_lines(payload)) + "\n"
     else:
-        body = _canonical(report.payload) + "\n"
+        body = _canonical(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -560,9 +553,7 @@ def main(argv=None) -> int:
     except IwafittError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = RunReport(echo, banner, payload, passed,
-                       time.perf_counter() - t0)
-    _emit(report, args)
+    _emit(args, echo, banner, payload, passed, time.perf_counter() - t0)
     return 0 if passed else 1
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the library, and the JSON field readers.
 
 Every failure mode that callers are expected to catch has its own class;
-anything else surfaces as a plain ValueError from validation code.
-Malformed JSON input raises InputError from the readers at the bottom.
+anything else surfaces as a plain ValueError from validation code, such
+as ``check_index`` on a library argument. Malformed JSON input raises
+InputError from the readers at the bottom.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ class InsufficientPrecision(IwafittError):
 
 
 class RingMismatch(IwafittError):
-    """Operands live over different coefficient rings, or an index is invalid."""
+    """Operands live over different coefficient rings."""
 
 
 class NotTorsion(IwafittError):
@@ -75,17 +76,34 @@ def read_int(value, path: str, lo: int | None = None, hi: int | None = None) -> 
     return value
 
 
-def read_int_key(key: str, path: str) -> int:
-    """An object key naming an integer, written as ``str`` writes it.
+def check_index(value, lo: int = 0, what: str = "index") -> int:
+    """A library argument that must be an integer >= lo.
 
-    "03", " 3", "+3" and "1_0" are refused rather than read as 3 or 10,
-    so two keys of one map never name the same integer.
+    The one check behind every Fitting index and divisor exponent; bools,
+    floats and strings are refused like negatives, with ValueError.
+    """
+    if type(value) is not int or value < lo:
+        raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def parse_decimal(text: str) -> int | None:
+    """The integer text names when written as ``str`` writes it, else None.
+
+    "03", " 3", "+3", "1_0" and non-ASCII digits are refused rather than
+    read as 3 or 10, so two spellings never name the same integer.
     """
     try:
-        value = int(key)
+        value = int(text)
     except ValueError:
-        value = None
-    if value is None or str(value) != key:
+        return None
+    return value if str(value) == text else None
+
+
+def read_int_key(key: str, path: str) -> int:
+    """An object key naming an integer, as ``parse_decimal`` reads it."""
+    value = parse_decimal(key)
+    if value is None:
         raise InputError("key must be a canonical decimal integer", path)
     return value
 

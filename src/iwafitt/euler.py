@@ -30,6 +30,7 @@ from .errors import (
     NotMonotone,
     ParityMismatch,
     PoolExhausted,
+    parse_decimal,
     read_int,
     read_list,
     read_obj,
@@ -107,6 +108,16 @@ def _is_canonical_key(key: str) -> bool:
     return ids[0] >= 2 and list(ids) == sorted(set(ids))
 
 
+def check_index_keys(keys, path: str) -> None:
+    """Refuse the first key index_key would not write, naming path.key."""
+    for key in keys:
+        if not _is_canonical_key(key):
+            raise InputError(
+                "index keys must be '1' or increasing prime ids >= 2 joined by dots",
+                f"{path}.{key}",
+            )
+
+
 @dataclass(frozen=True)
 class SelmerShape:
     """Starting shape: free parity bit e and the doubled-part lengths d."""
@@ -130,12 +141,16 @@ class SelmerShape:
 
     @classmethod
     def from_string(cls, text: str) -> SelmerShape:
-        """Parse "e:d0,d1,..."; an empty d-part is allowed ("1:")."""
+        """Parse "e:d0,d1,..."; an empty d-part is allowed ("1:").
+
+        Each d entry is a canonical decimal, so "+2", " 2", "02" and an
+        empty entry between commas are refused.
+        """
         head, sep, tail = text.partition(":")
-        if not sep or head not in ("0", "1"):
+        d = [parse_decimal(x) for x in tail.split(",")] if tail else []
+        if not sep or head not in ("0", "1") or None in d:
             raise ValueError(f"shape must look like 'e:d0,d1,...', got {text!r}")
-        d = tuple(int(x) for x in tail.split(",") if x.strip() != "")
-        return cls(int(head), d)
+        return cls(int(head), tuple(d))
 
 
 @dataclass(frozen=True)
@@ -210,12 +225,7 @@ class EulerSystemData:
             raw = read_obj(doc.get(name, {}), at)
             fresh = raw.keys() - canonical
             if not all(map(_is_canonical_key, fresh)):
-                key = next(k for k in raw if not _is_canonical_key(k))
-                raise InputError(
-                    "index keys must be '1' or increasing prime ids >= 2 "
-                    "joined by dots",
-                    f"{at}.{key}",
-                )
+                check_index_keys(raw, at)  # names the first in document order
             canonical.update(fresh)
             return at, raw
 
@@ -591,6 +601,16 @@ def sha_exponents(delta_values, e: int, i: int) -> int:
 # --------------------------------------------------------- ideal assembly
 
 
+def _assemble(elements, parity: int, top: int, basis) -> LambdaIdealFactored:
+    """The ideal generated by the elements of weight = parity mod 2, <= top."""
+    picked = [
+        elements[key]
+        for key in sorted(elements)
+        if key_weight(key) % 2 == parity and key_weight(key) <= top
+    ]
+    return LambdaIdealFactored.from_series_generators(basis, picked)
+
+
 def construct_C(elements, i: int, e: int, basis) -> LambdaIdealFactored:
     """Assemble the i-th lambda ideal from supplied series elements.
 
@@ -598,22 +618,12 @@ def construct_C(elements, i: int, e: int, basis) -> LambdaIdealFactored:
     the lambda side (weight matching e mod 2) of weight <= i + e; the
     generators are factored over the declared basis.
     """
-    picked = [
-        elements[key]
-        for key in sorted(elements)
-        if key_weight(key) % 2 == e % 2 and key_weight(key) <= i + e
-    ]
-    return LambdaIdealFactored.from_series_generators(basis, picked)
+    return _assemble(elements, e % 2, i + e, basis)
 
 
 def construct_D(elements, i: int, e: int, basis) -> LambdaIdealFactored:
     """Kappa-side counterpart: opposite parity, weight <= i."""
-    picked = [
-        elements[key]
-        for key in sorted(elements)
-        if key_weight(key) % 2 == (e + 1) % 2 and key_weight(key) <= i
-    ]
-    return LambdaIdealFactored.from_series_generators(basis, picked)
+    return _assemble(elements, (e + 1) % 2, i, basis)
 
 
 # ------------------------------------------------------- doubled-module law

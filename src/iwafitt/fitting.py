@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (InputError, InsufficientPrecision, NotTorsion, RingMismatch,
-                     read_int, read_ints, read_list, read_obj)
+                     check_index, read_int, read_ints, read_list, read_obj)
 from .ring import TruncatedSeries, padic_valuation
 
 _PRINCIPAL_KINDS = ("Zp_mod_pk", "dvr")
@@ -293,11 +293,6 @@ def _smith_valuation(M: PresentationMatrix, r: int) -> int:
     return min(M.ring.K, sum(exps[:r]))
 
 
-def _check_index(i) -> None:
-    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
-        raise RingMismatch(f"Fitting index must be a non-negative integer, got {i!r}")
-
-
 def _principal_exponent(M: PresentationMatrix, i: int, valuation):
     """Exponent a of the ideal (p^a), "full" for the dvr zero ideal.
 
@@ -320,7 +315,7 @@ def minor_fitting_exponent(M: PresentationMatrix, i: int):
     Exponential in the matrix size, and independent of the Smith form:
     the slow oracle that ``fitting_ideal`` is checked against.
     """
-    _check_index(i)
+    check_index(i)
     return _principal_exponent(M, i, _minor_valuation)
 
 
@@ -336,7 +331,7 @@ def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
     capped at K. Over the series ring the minors themselves are the
     generators.
     """
-    _check_index(i)
+    check_index(i)
     ring = M.ring
     if ring.kind != "lambda":
         return FittingIdealResult(
@@ -492,10 +487,8 @@ class ElementaryDVRModule:
     def __post_init__(self) -> None:
         exps = tuple(self.exponents)
         object.__setattr__(self, "exponents", exps)
-        if any(
-            isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in exps
-        ):
-            raise ValueError(f"exponents must be integers >= 1, got {exps}")
+        for e in exps:
+            check_index(e, 1, "exponent")
         if any(a > b for a, b in zip(exps, exps[1:])):
             raise ValueError(f"exponents must be non-decreasing, got {exps}")
 
@@ -536,8 +529,7 @@ def dvr_structure(
 
 def fitting_from_structure(E: ElementaryDVRModule, i: int) -> int:
     """Fitting exponent of an elementary module: sum of the n-i smallest."""
-    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
-        raise ValueError(f"index must be a non-negative integer, got {i!r}")
+    check_index(i)
     n = len(E.exponents)
     return sum(E.exponents[: max(0, n - i)])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InputError, NotASquare, RingMismatch, SupportCollision,
-                     read_ints, read_list, read_obj, read_p)
+                     check_index, read_ints, read_list, read_obj, read_p)
 from .fitting import ElementaryDVRModule, fitting_from_structure
 from .ring import SpecializationRing, TruncatedSeries, weierstrass_divide
 
@@ -436,8 +436,7 @@ def elementary_fitting_class(E: ElementaryLambdaModule, i: int) -> PseudoClass:
     With all exponent lists zero-padded to the common width, the prime
     P picks up the sum of its first (width - i) exponents.
     """
-    if type(i) is not int or i < 0:
-        raise ValueError(f"index must be a non-negative integer, got {i!r}")
+    check_index(i)
     ell = E.width
     primes, exps = [], []
     for pr, ks in E.components:
@@ -568,9 +567,7 @@ def parity_audit(family) -> bool:
     """
     rows = []
     for j, mod in family:
-        if isinstance(mod, SpecializedModule):
-            exps = mod.exponents
-        elif isinstance(mod, ElementaryDVRModule):
+        if isinstance(mod, (SpecializedModule, ElementaryDVRModule)):
             exps = mod.exponents
         else:
             exps = tuple(mod)

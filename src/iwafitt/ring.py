@@ -1,9 +1,8 @@
 """Exact arithmetic in the coefficient rings.
 
-Three layers live here:
+Two layers live here:
 
-* residues of p-adic integers at a tracked precision K (``PadicNumber``),
-* truncated power series in one variable over those residues
+* truncated power series in one variable over the residues mod p^K
   (``TruncatedSeries``, an element of O[[T]] mod (p^K, T^m)),
 * the decomposition of a nonzero series into p-power content, a monic
   polynomial congruent to a power of T mod p, and a unit series
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from .errors import InsufficientPrecision, RingMismatch
 
 __all__ = [
-    "PadicNumber",
     "TruncatedSeries",
     "WeierstrassForm",
     "SpecializationRing",
@@ -60,71 +58,6 @@ def padic_valuation(p: int, value: int, K: int) -> int:
         value //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True, slots=True)
-class PadicNumber:
-    """A residue in Z/p^K standing in for a p-adic integer.
-
-    Attributes:
-        p: prime base, >= 2.
-        K: precision exponent, >= 1.
-        value: canonical representative, 0 <= value < p^K.
-    """
-
-    p: int
-    K: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        object.__setattr__(self, "value", self.value % self.p**self.K)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.K
-
-    def valuation(self) -> int:
-        """p-adic valuation of this residue; K for the zero residue."""
-        return padic_valuation(self.p, self.value, self.K)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def _compat(self, other: PadicNumber) -> None:
-        if self.p != other.p or self.K != other.K:
-            raise RingMismatch(
-                f"operands over Z/{self.p}^{self.K} and Z/{other.p}^{other.K}"
-            )
-
-    def __add__(self, other: PadicNumber) -> PadicNumber:
-        self._compat(other)
-        return PadicNumber(self.p, self.K, self.value + other.value)
-
-    def __sub__(self, other: PadicNumber) -> PadicNumber:
-        self._compat(other)
-        return PadicNumber(self.p, self.K, self.value - other.value)
-
-    def __mul__(self, other: PadicNumber) -> PadicNumber:
-        self._compat(other)
-        return PadicNumber(self.p, self.K, self.value * other.value)
-
-    def __neg__(self) -> PadicNumber:
-        return PadicNumber(self.p, self.K, -self.value)
-
-    def inverse(self) -> PadicNumber:
-        """Multiplicative inverse; requires a unit residue."""
-        if not self.is_unit():
-            raise ZeroDivisionError(
-                f"{self.value} is not a unit mod {self.p}^{self.K}"
-            )
-        return PadicNumber(self.p, self.K, pow(self.value, -1, self.modulus))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,14 +106,6 @@ class TruncatedSeries:
     def one(cls, p: int, K: int, m: int) -> TruncatedSeries:
         return cls.make(p, K, m, [1])
 
-    @classmethod
-    def monomial(cls, p: int, K: int, m: int, degree: int, coeff: int = 1) -> TruncatedSeries:
-        if not 0 <= degree < m:
-            raise ValueError(f"degree {degree} out of range for m={m}")
-        cs = [0] * m
-        cs[degree] = coeff
-        return cls(p, K, m, tuple(cs))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -193,13 +118,6 @@ class TruncatedSeries:
     def is_unit(self) -> bool:
         """Units are exactly the series with unit constant term."""
         return self.coeffs[0] % self.p != 0
-
-    def order_in_t(self) -> int:
-        """Index of the first nonzero coefficient; m if the series is zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.m
 
     def content_valuation(self) -> int:
         """min over coefficients of their p-adic valuation (K if zero)."""
@@ -247,13 +165,6 @@ class TruncatedSeries:
     def scale(self, c: int) -> TruncatedSeries:
         return TruncatedSeries(self.p, self.K, self.m, tuple(c * a for a in self.coeffs))
 
-    def shift(self, degree: int) -> TruncatedSeries:
-        """Multiply by T^degree (coefficients beyond T^m fall off)."""
-        if degree < 0:
-            raise ValueError("shift degree must be >= 0")
-        cs = (0,) * degree + self.coeffs
-        return TruncatedSeries(self.p, self.K, self.m, cs[: self.m])
-
     def inverse(self) -> TruncatedSeries:
         """Inverse of a unit series, solved coefficient by coefficient."""
         if not self.is_unit():
@@ -300,16 +211,6 @@ class TruncatedSeries:
             raise ValueError("use lift_precision to raise K")
         return TruncatedSeries(self.p, K_new, self.m, self.coeffs)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "K": self.K, "m": self.m, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> TruncatedSeries:
-        return cls(int(data["p"]), int(data["K"]), int(data["m"]),
-                   tuple(int(c) for c in data["coeffs"]))
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -344,12 +245,7 @@ class WeierstrassForm:
             raise ValueError("mu must be >= 0")
         P, U = self.distinguished, self.unit
         P._compat(U)
-        d = _monic_degree(P)
-        for i in range(d):
-            if P.coeffs[i] % P.p != 0:
-                raise ValueError(
-                    f"coefficient {i} of distinguished part is a unit"
-                )
+        _distinguished_degree(P)
         if not U.is_unit():
             raise ValueError("unit part has non-unit constant term")
 
@@ -358,14 +254,6 @@ class WeierstrassForm:
         prod = self.distinguished * self.unit
         lifted = prod.lift_precision(K)
         return lifted.scale(self.distinguished.p**self.mu)
-
-    def to_dict(self) -> dict:
-        d = _monic_degree(self.distinguished)
-        return {
-            "mu": self.mu,
-            "dist": list(self.distinguished.coeffs[: d + 1]),
-            "unit": self.unit.to_dict(),
-        }
 
 
 def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
@@ -463,10 +351,7 @@ def weierstrass_divide(
         ValueError: P not monic distinguished or of degree >= m.
     """
     f._compat(P)
-    d = _monic_degree(P)
-    for i in range(d):
-        if P.coeffs[i] % P.p != 0:
-            raise ValueError(f"divisor coefficient {i} is a unit; not distinguished")
+    d = _distinguished_degree(P)
     quot, rem = _monic_divmod(f.coeffs, P.coeffs[: d + 1], f.modulus)
     r = TruncatedSeries(f.p, f.K, f.m, tuple(rem) + (0,) * (f.m - d))
     return TruncatedSeries(f.p, f.K, f.m, tuple(quot)), r
@@ -492,15 +377,22 @@ def _monic_divmod(coeffs, P, q: int) -> tuple:
     return quot, rem[:d]
 
 
-def _monic_degree(P: TruncatedSeries) -> int:
-    """Degree of a monic polynomial given as a series; ValueError if not monic."""
-    for i in range(P.m - 1, -1, -1):
-        c = P.coeffs[i]
+def _distinguished_degree(P: TruncatedSeries) -> int:
+    """Degree of a monic distinguished polynomial given as a series.
+
+    Raises ValueError unless P is monic with every lower coefficient
+    divisible by p.
+    """
+    for d in range(P.m - 1, -1, -1):
+        c = P.coeffs[d]
         if c == 0:
             continue
         if c != 1:
             raise ValueError("polynomial is not monic")
-        return i
+        for i in range(d):
+            if P.coeffs[i] % P.p:
+                raise ValueError(f"coefficient {i} is a unit; not distinguished")
+        return d
     raise ValueError("polynomial is zero")
 
 
@@ -538,10 +430,6 @@ class SpecializationRing:
                 raise ValueError("linear prime root must have valuation >= 1")
 
     @property
-    def ramification_index(self) -> int:
-        return self.j if self.kind == "eisenstein" else 1
-
-    @property
     def valuation_cap(self) -> int:
         """Values at or above this are indistinguishable from 0 here."""
         return self.j * self.K if self.kind == "eisenstein" else self.K
@@ -577,6 +465,3 @@ class SpecializationRing:
             if v < self.K:
                 best = min(best, self.j * v + i)
         return best
-
-    def is_zero_image(self, f: TruncatedSeries) -> bool:
-        return self.image_valuation(f) >= self.valuation_cap

@@ -217,6 +217,8 @@ def test_unknown_flags_and_commands_are_rejected(capsys):
          "--index"),
         (["euler", "reconstruct", "--in", fx("reconstruct.json"), "--index", "8"],
          "--index"),
+        (["euler", "verify", "--shape", "0:+2", "--k", "3", "--seed", "1"],
+         "--shape"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, flag, capsys):
@@ -227,10 +229,12 @@ def test_out_of_range_flags_are_usage_errors(argv, flag, capsys):
 
 @pytest.mark.parametrize("cmd", ["simulate", "verify"])
 @pytest.mark.parametrize(
-    "pool", ["1,2,3,5,7,11", "0,2,3,5,7,11", "2,2,3,5,7,11", "2,3:4,5,7,3:5:n"]
+    "pool", ["1,2,3,5,7,11", "0,2,3,5,7,11", "2,2,3,5,7,11", "2,3:4,5,7,3:5:n",
+             "02,+3,5,7,11,13", "2,3:04,5,7,11,13", "2,3: 4,5,7,11,13"]
 )
 def test_pool_ids_must_be_distinct_and_at_least_two(cmd, pool, capsys):
-    # id 1 once merged index {1} with the empty product "1"
+    # id 1 once merged index {1} with the empty product "1"; "02" and "+3"
+    # were read as ids 2 and 3, so numbers must be canonical decimals
     argv = ["euler", cmd, "--pool", pool, "--shape", "1:1", "--k", "3",
             "--seed", "1"]
     code, out, err = run(argv, capsys)
@@ -387,6 +391,16 @@ MALFORMED = [
     (["euler", "stabilize", "--stratum", "1"],
      {**load("stabilize.json"), "family": {"1": 3, "+2": 2, "3": 2}},
      "$.family.+2"),
+    # element keys are index keys, read as EulerSystemData reads them
+    (["euler", "c-ideal", "--index", "2"],
+     {**load("c_elements.json"), "elements": {"1": [3, 3], "x.y": [9]}},
+     "$.elements.x.y"),
+    (["euler", "c-ideal", "--index", "2"],
+     {**load("c_elements.json"), "elements": {"1": [3, 3], "3.2": [9]}},
+     "$.elements.3.2"),
+    (["euler", "c-ideal", "--index", "2"],
+     {**load("c_elements.json"), "elements": {"1": [3, 3], "02": [0, 3]}},
+     "$.elements.02"),
 ]
 
 

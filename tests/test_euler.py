@@ -85,6 +85,12 @@ def test_shape_rejects_bad_input():
         SelmerShape.from_string("2:1")
     with pytest.raises(ValueError):
         SelmerShape.from_string("no-colon")
+    # the d-part is canonical decimals only, not whatever int() reads
+    for text in ("0:+2", "0: 2", "0:02", "0:\u0662", "0:2,,1", "0:2,", "0:,"):
+        with pytest.raises(ValueError):
+            SelmerShape.from_string(text)
+    assert SelmerShape.from_string("1:") == SelmerShape(1, ())
+    assert SelmerShape.from_string("0:2,1") == SelmerShape(0, (2, 1))
 
 
 def test_label_validation_and_order():

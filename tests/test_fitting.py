@@ -23,6 +23,7 @@ from iwafitt.fitting import (
     minor_fitting_exponent,
     smith_normal_form,
 )
+from iwafitt.ideals import ElementaryLambdaModule, HeightOnePrime, elementary_fitting_class
 from iwafitt.ring import TruncatedSeries, padic_valuation
 
 DVR = RingDescriptor("dvr", 3, 12)
@@ -71,10 +72,29 @@ def test_fitting_zero_ideal_when_relations_run_out():
 
 def test_fitting_rejects_bad_index():
     M = dvr_matrix([[3]])
-    with pytest.raises(RingMismatch):
+    with pytest.raises(ValueError):
         fitting_ideal(M, -1)
-    with pytest.raises(RingMismatch):
+    with pytest.raises(ValueError):
         fitting_ideal(M, True)
+
+
+INDEX_SITES = {
+    "fitting_ideal": lambda i: fitting_ideal(dvr_matrix([[3]]), i),
+    "minor_fitting_exponent": lambda i: minor_fitting_exponent(dvr_matrix([[3]]), i),
+    "fitting_from_structure": lambda i: fitting_from_structure(ElementaryDVRModule((1, 2)), i),
+    "elementary_fitting_class": lambda i: elementary_fitting_class(
+        ElementaryLambdaModule(((HeightOnePrime.pi(3), (1, 2)),)), i
+    ),
+    "ElementaryDVRModule": lambda e: ElementaryDVRModule((1, e)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "1"], ids=repr)
+def test_every_index_check_raises_one_error(site, bad):
+    # one helper guards every index and exponent argument of the library
+    with pytest.raises(ValueError, match=r"must be an integer >= \d+, got"):
+        INDEX_SITES[site](bad)
 
 
 def test_fitting_chain_on_small_example():

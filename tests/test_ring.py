@@ -1,4 +1,4 @@
-"""Coefficient-ring layer: residues, truncated series, Weierstrass splitting."""
+"""Coefficient-ring layer: valuations, truncated series, Weierstrass splitting."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from iwafitt.errors import InsufficientPrecision, RingMismatch
 from iwafitt.ring import (
-    PadicNumber,
     SpecializationRing,
     TruncatedSeries,
     WeierstrassForm,
@@ -20,7 +19,7 @@ from iwafitt.ring import (
 S = lambda p, K, m, cs: TruncatedSeries.make(p, K, m, cs)
 
 
-# ---------------------------------------------------------------- residues
+# -------------------------------------------------------------- valuations
 
 def test_valuation_examples():
     assert padic_valuation(3, 9, 4) == 2
@@ -32,24 +31,6 @@ def test_valuation_reduces_first():
     # 81 = 3^4 is the zero residue at K=4, so the convention value applies
     assert padic_valuation(3, 81, 4) == 4
     assert padic_valuation(3, 81 + 3, 4) == 1
-
-
-def test_padic_number_basics():
-    x = PadicNumber(3, 4, 100)
-    assert x.value == 100 % 81
-    y = PadicNumber(3, 4, 5)
-    assert (x + y).value == (100 + 5) % 81
-    assert (x * y).value == (100 * 5) % 81
-    assert (-y).value == 81 - 5
-    assert y.inverse() * y == PadicNumber(3, 4, 1)
-    assert PadicNumber(3, 4, 0).valuation() == 4
-
-
-def test_padic_number_mismatch():
-    with pytest.raises(RingMismatch):
-        PadicNumber(3, 4, 1) + PadicNumber(5, 4, 1)
-    with pytest.raises(ZeroDivisionError):
-        PadicNumber(3, 4, 6).inverse()
 
 
 # ------------------------------------------------------------ ring axioms
@@ -95,11 +76,6 @@ def test_series_unit_inverse():
     assert u * u.inverse() == TruncatedSeries.one(3, 5, 6)
     with pytest.raises(ZeroDivisionError):
         S(3, 5, 6, [3, 1]).inverse()
-
-
-def test_series_json_round_trip():
-    f = S(5, 3, 4, [1, 120, 3, 0])
-    assert TruncatedSeries.from_dict(f.to_dict()) == f
 
 
 # ------------------------------------------------- Weierstrass preparation
@@ -335,7 +311,6 @@ def test_eisenstein_ring_valuations():
         assert p_img == j
         t_img = ring.image_valuation(S(3, 6, 8, [0, 1]))
         assert t_img == 1
-        assert ring.ramification_index == j
 
 
 def test_unramified_ring_valuations():
@@ -343,14 +318,13 @@ def test_unramified_ring_valuations():
     assert ring.image_valuation(S(3, 9, 8, [3])) == 1
     # T maps to a - p^j = -81, valuation 4
     assert ring.image_valuation(S(3, 9, 8, [0, 1])) == 4
-    assert ring.ramification_index == 1
 
 
 def test_eisenstein_relation_collapses():
     # p + T^j is exactly the defining relation, so its image is 0
     ring = SpecializationRing(p=3, j=2, K=4, kind="eisenstein")
     f = S(3, 4, 6, [3, 0, 1])
-    assert ring.is_zero_image(f)
+    assert ring.image_valuation(f) >= ring.valuation_cap
     assert ring.image_valuation(f) == ring.valuation_cap
 
 

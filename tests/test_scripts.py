@@ -1,5 +1,6 @@
-"""Smoke tests: the experiment scripts run from a source checkout."""
+"""Smoke tests: the experiment scripts and the benchmark's hooks still fit the library."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -22,3 +23,15 @@ def test_script_runs_from_a_checkout(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and "Traceback" not in proc.stderr
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # the benchmark's --trace run wraps these library attributes by name,
+    # so deleting or renaming one breaks it; its own tests sit outside tier 1
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    importlib.import_module("ops")
+    spans = importlib.import_module("spans")
+    targets = spans._targets(spans.Tracer())
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
