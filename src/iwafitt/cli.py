@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import acceptance
-from .errors import (InputError, IwafittError, parse_decimal, read_int, read_int_key,
+from .errors import (InputError, IwafittError, parse_decimal, read_decimal, read_int,
                      read_ints, read_list, read_obj, read_p)
 from .euler import (
     AdmissiblePrimeLabel,
@@ -89,24 +89,24 @@ def _load_doc(arg):
     return read_obj(doc, "$")
 
 
+def _read_flag(text, flag, lo=None):
+    """An integer flag, or IWAFITT_SEED, read by read_decimal, so "+3",
+    " 3" and "03" are refused rather than read as 3; absent reads None."""
+    return read_int(None if text is None else read_decimal(text, flag), flag, lo)
+
+
 def _require_index(args):
-    return read_int(args.index, "--index", 0)
+    return _read_flag(args.index, "--index", 0)
 
 
 def _require_stratum(args):
-    return read_int(args.stratum, "--stratum", 1)
+    return _read_flag(args.stratum, "--stratum", 1)
 
 
 def _seed_of(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("IWAFITT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(
-            f"IWAFITT_SEED must be an integer, got {raw!r}", "env:IWAFITT_SEED"
-        ) from exc
+    if args.seed is not None:
+        return _read_flag(args.seed, "--seed")
+    return _read_flag(os.environ.get("IWAFITT_SEED", "0"), "env:IWAFITT_SEED")
 
 
 def _parse_shape(text, where="--shape"):
@@ -192,7 +192,7 @@ def _cmd_fitt(args):
     M = PresentationMatrix.from_dict(_load_doc(args.inp))
     i = _require_index(args)
     if args.K is not None:
-        M = M.reduce_precision(read_int(args.K, "--K", 1))
+        M = M.reduce_precision(_read_flag(args.K, "--K", 1))
     result = fitting_ideal(M, i)
     payload = result.to_dict()
     payload.pop("index", None)
@@ -293,14 +293,10 @@ def _cmd_module_parity(args):
 
 def _euler_inputs(args):
     shape = _parse_shape(args.shape)
-    read_int(args.k, "--k", 1)
+    k = _read_flag(args.k, "--k", 1)
     nu_max = 2 * len(shape.d) + shape.e
-    pool = (
-        _parse_pool(args.pool, args.k)
-        if args.pool
-        else _default_pool(args.k, nu_max)
-    )
-    return shape, args.k, pool, nu_max
+    pool = _parse_pool(args.pool, k) if args.pool else _default_pool(k, nu_max)
+    return shape, k, pool, nu_max
 
 
 def _cmd_euler_simulate(args):
@@ -319,7 +315,7 @@ def _cmd_euler_verify(args):
             shape = _shape_from_doc(doc["shape"], "$.shape")
         else:
             raise InputError("need a shape (--shape or doc key)", "$.shape")
-        k = data.k if args.k is None else read_int(args.k, "--k", 1)
+        k = data.k if args.k is None else _read_flag(args.k, "--k", 1)
         banner = f"k={k} external data"
     else:
         shape, k, pool, nu_max = _euler_inputs(args)
@@ -344,7 +340,7 @@ def _cmd_euler_reconstruct(args):
     dv = {}
     for key, value in read_obj(doc.get("delta_values"), "$.delta_values").items():
         at = f"$.delta_values.{key}"
-        dv[read_int_key(key, at)] = read_int(value, at, 0)
+        dv[read_decimal(key, at)] = read_int(value, at, 0)
     e = read_int(doc.get("e"), "$.e", 0, 1)
     try:
         shape = reconstruct_shape(dv, e)
@@ -363,7 +359,8 @@ def _cmd_euler_c_ideal(args):
     doc = _load_doc(args.inp)
     p = read_p(doc)
     K, m = (
-        read_int(doc.get(x, 8), f"$.{x}", 1) if v is None else read_int(v, f"--{x}", 1)
+        read_int(doc.get(x, 8), f"$.{x}", 1) if v is None
+        else _read_flag(v, f"--{x}", 1)
         for x, v in (("K", args.K), ("m", args.m))
     )
     basis_doc = read_list(doc.get("basis"), "$.basis")
@@ -394,7 +391,7 @@ def _cmd_euler_stabilize(args):
     family = {}
     for key, value in read_obj(doc.get("family"), "$.family").items():
         at = f"$.family.{key}"
-        family[read_int_key(key, at)] = (
+        family[read_decimal(key, at)] = (
             value if type(value) is int
             else LambdaIdealFactored.from_dict(value, p, at)
         )
@@ -433,15 +430,15 @@ def _add_common(sp, *, index=False, stratum=False, seed=False, km=False):
                     help="write the JSON payload here instead of stdout")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     if index:
-        sp.add_argument("--index", type=int, help="Fitting/assembly index i")
+        sp.add_argument("--index", help="Fitting/assembly index i")
     if stratum:
-        sp.add_argument("--stratum", type=int, help="stratum or tower level j")
+        sp.add_argument("--stratum", help="stratum or tower level j")
     if seed:
-        sp.add_argument("--seed", type=int,
+        sp.add_argument("--seed",
                         help="simulation seed (falls back to IWAFITT_SEED)")
     if km:
-        sp.add_argument("--K", type=int, help="coefficient precision")
-        sp.add_argument("--m", type=int, help="series truncation order")
+        sp.add_argument("--K", help="coefficient precision")
+        sp.add_argument("--m", help="series truncation order")
 
 
 def _build_parser():
@@ -454,7 +451,7 @@ def _build_parser():
 
     sp = subs.add_parser("fitt", help="Fitting ideal of a presentation matrix")
     _add_common(sp, index=True)
-    sp.add_argument("--K", type=int, help="reduce to this precision first")
+    sp.add_argument("--K", help="reduce to this precision first")
     sp.set_defaults(func=_cmd_fitt)
 
     ideal = subs.add_parser("ideal", help="factored-ideal calculus")
@@ -497,7 +494,7 @@ def _build_parser():
         sp = esubs.add_parser(name)
         _add_common(sp, **flags)
         if name in ("simulate", "verify"):
-            sp.add_argument("--k", type=int, help="ring length k")
+            sp.add_argument("--k", help="ring length k")
             sp.add_argument("--shape", help="starting shape, e:d0,d1,...")
             sp.add_argument(
                 "--pool",

@@ -100,11 +100,12 @@ def parse_decimal(text: str) -> int | None:
     return value if str(value) == text else None
 
 
-def read_int_key(key: str, path: str) -> int:
-    """An object key naming an integer, as ``parse_decimal`` reads it."""
-    value = parse_decimal(key)
+def read_decimal(text: str, path: str) -> int:
+    """An object key, flag or environment value naming an integer, as
+    ``parse_decimal`` reads it."""
+    value = parse_decimal(text)
     if value is None:
-        raise InputError("key must be a canonical decimal integer", path)
+        raise InputError(f"must be a canonical decimal integer, got {text!r}", path)
     return value
 
 

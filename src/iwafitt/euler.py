@@ -21,7 +21,6 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 from .errors import (
     EmptyStratum,
@@ -171,9 +170,12 @@ class EulerSystemData:
 
     An index key is canonical: "1" for the empty product, otherwise the
     decimal prime ids (each >= 2, no leading zeros) in strictly
-    increasing order joined by dots, as index_key writes it. String
-    keys are the data boundary only: from_dict rejects any other form,
-    and the checks below parse each key once into its id tuple.
+    increasing order joined by dots, as index_key writes it; from_dict
+    rejects any other form. String keys stay the public shape of these
+    maps, and of the simulator's states, in the simulator's insertion
+    order. Inside simulate_system and reciprocity_check an index is an
+    int bitmask over numbered prime ids, so n*ell is n | bit and n/ell
+    is n ^ bit; reciprocity_check parses each key into its mask once.
     """
 
     epsilon: int
@@ -295,49 +297,72 @@ def simulate_system(shape, k, pool, seed, nu_max=None):
     epsilon = (shape.e + 1) % 2
     data = EulerSystemData(epsilon, k, tuple(labels), delta)
     states = {}
-    # combinations of the sorted pool come out in id order, so each id
-    # tuple is already canonical; key_of maps it to its string key
-    key_of = {}
+    # An index is a bitmask over the sorted pool, bit b set when labels[b]
+    # divides it, so n*ell is n | bit. Each level lists the indices of one
+    # size: every index of the level below, extended by each bit above its
+    # highest. That is the order of combinations(labels, size), so keys
+    # and every map's insertion order are those of the id tuples. Indices
+    # of one size with only generic factors share one state; one with a
+    # nongeneric factor walks its own, since the bumps hash its key.
+    names = [str(lab.ident) for lab in labels]
+    nongeneric = sum(1 << b for b, lab in enumerate(labels) if not lab.generic)
+
+    def walk(mask, key):
+        e_cur, d_cur = shape.e, list(shape.d)
+        for b, lab in enumerate(labels):
+            if not mask >> b & 1:
+                continue
+            if e_cur == 0 and d_cur:
+                d_cur.pop(0)
+            if not lab.generic:
+                prng = random.Random(_derive(seed, "perturb", key, lab.ident))
+                d_cur = sorted(
+                    (x + prng.randint(0, 1) for x in d_cur), reverse=True
+                )
+            e_cur ^= 1
+        return SimState(e_cur, tuple(d_cur))
+
+    key_at, val_at, lam_at = {}, {}, {}  # mask -> key, I_n value, lambda index
+    level = [(0, 0, "1", k)]  # (mask, lowest bit free to add, key, I_n value)
+    generic = SimState(shape.e, shape.d)  # the state of all-generic indices
     for size in range(nu_max + 1):
-        for combo in combinations(labels, size):
-            ids = tuple(lab.ident for lab in combo)
-            key = ".".join(map(str, ids)) if ids else "1"
-            key_of[ids] = key
-            e_cur, d_cur = shape.e, list(shape.d)
-            for lab in combo:
-                if e_cur == 0 and d_cur:
-                    d_cur.pop(0)
-                if not lab.generic:
-                    prng = random.Random(
-                        _derive(seed, "perturb", key, lab.ident)
-                    )
-                    d_cur = sorted(
-                        (x + prng.randint(0, 1) for x in d_cur), reverse=True
-                    )
-                e_cur ^= 1
-            states[key] = SimState(e_cur, tuple(d_cur))
-            val = min([k] + [lab.k_ell for lab in combo])
-            data.i_n_val[key] = val
-            ind = min(k, val, delta + sum(d_cur))
-            if e_cur == 0:
-                data.ind_lambda[key] = ind
+        if size:
+            level = [
+                (mask | 1 << b, b + 1, f"{key}.{names[b]}" if mask else names[b],
+                 min(val, labels[b].k_ell))
+                for mask, low, key, val in level
+                for b in range(low, len(labels))
+            ]
+            # a generic prime consumes the largest length on a definite state
+            generic = SimState(
+                generic.e ^ 1, generic.d[1:] if generic.e == 0 else generic.d
+            )
+        for mask, _, key, val in level:
+            state = walk(mask, key) if mask & nongeneric else generic
+            states[key] = state
+            key_at[mask] = key
+            data.i_n_val[key] = val_at[mask] = val
+            ind = min(val, delta + sum(state.d))
+            if state.e == 0:
+                data.ind_lambda[key] = lam_at[mask] = ind
             else:
                 data.ind_kappa[key] = ind
-    for ids, key in key_of.items():
-        if len(ids) >= nu_max:
+    bits = [(1 << b, lab.ident) for b, lab in enumerate(labels)]
+    loc_ord, loc_unr = data.loc_ord, data.loc_unr
+    for n, key in key_at.items():
+        if n.bit_count() >= nu_max:
             break
-        ind_n = data.ind_lambda.get(key)
-        for lab in labels:
-            ident = lab.ident
-            if ident in ids:
+        ind_n = lam_at.get(n)
+        for bit, ident in bits:
+            if n & bit:
                 continue
-            m_key = key_of[tuple(sorted(ids + (ident,)))]
-            val_m = data.i_n_val[m_key]
+            m = n | bit
+            val_m = val_at[m]
             if ind_n is not None:
-                data.loc_ord[(m_key, ident)] = min(ind_n, val_m)
+                loc_ord[(key_at[m], ident)] = ind_n if ind_n < val_m else val_m
             else:
-                ind_m = data.ind_lambda[m_key]
-                data.loc_unr[(key, ident)] = ind_m if ind_m < val_m else k
+                ind_m = lam_at[m]
+                loc_unr[(key, ident)] = ind_m if ind_m < val_m else k
     return data, states
 
 
@@ -467,38 +492,63 @@ def verify_artkappa(data: EulerSystemData, shape: SelmerShape, k: int) -> dict:
 # -------------------------------------------------------------- reciprocity
 
 
+class _Bits(dict):
+    """Prime id -> bitmask bit; an id seen for the first time takes the
+    next free bit."""
+
+    def __missing__(self, ident):
+        bit = self[ident] = 1 << len(self)
+        return bit
+
+
+class _Masks(dict):
+    """Index key -> bitmask over a _Bits numbering, parsed once per key."""
+
+    def __init__(self, bits):
+        super().__init__({"1": 0})
+        self.bits = bits
+
+    def __missing__(self, key):
+        head, _, last = key.rpartition(".")
+        mask = self[head or "1"] | self.bits[int(last)]
+        self[key] = mask
+        return mask
+
+
 def reciprocity_check(data: EulerSystemData) -> bool:
     """Both explicit laws, as valuation equalities, over all stored pairs.
 
-    Each key is parsed once; the neighbour n or n*ell of a pair is found
-    by dropping or inserting one id in its tuple.
+    The maps stay keyed by string; each key is parsed once into a bitmask.
+    Pool ids take the low bits and any other id, which imported data may
+    name, the next free bit. For a pair (n, ell), ell divides n when
+    n & bit, and the neighbour n/ell or n*ell is n ^ bit or n | bit.
     """
-    ids_of = {}
-
-    def ids(key):
-        got = ids_of.get(key)
-        if got is None:
-            got = ids_of[key] = _key_ids(key)
-        return got
-
-    lam = {ids(key): ind for key, ind in data.ind_lambda.items()}
-    cap = {ids(key): v for key, v in data.i_n_val.items()}
+    bits = _Bits()
+    for lab in data.pool:
+        bits[lab.ident]  # numbers the pool ids first
+    masks = _Masks(bits)
+    lam = {masks[key]: ind for key, ind in data.ind_lambda.items()}
+    cap = {masks[key]: v for key, v in data.i_n_val.items()}
     k = data.k
     for (m_key, ident), loc in data.loc_ord.items():
-        m = ids(m_key)
-        if ident not in m:
+        m, b = masks[m_key], bits[ident]
+        if not m & b:
             return False
-        ind = lam.get(tuple(i for i in m if i != ident))
-        if ind is not None and min(ind, cap.get(m, k)) != loc:
-            return False
+        ind = lam.get(m ^ b)
+        if ind is not None:
+            val = cap.get(m, k)
+            if (ind if ind < val else val) != loc:
+                return False
     for (n_key, ident), loc in data.loc_unr.items():
-        n = ids(n_key)
-        if ident in n:
+        n, b = masks[n_key], bits[ident]
+        if n & b:
             return False
-        m = tuple(sorted(n + (ident,)))
+        m = n | b
         ind_m = lam.get(m)
-        if ind_m is not None and min(loc, cap.get(m, k)) != ind_m:
-            return False
+        if ind_m is not None:
+            val = cap.get(m, k)
+            if (loc if loc < val else val) != ind_m:
+                return False
     return True
 
 

@@ -129,6 +129,51 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     assert code == 2 and "IWAFITT_SEED" in err
 
 
+# int() read all but "" as 11 or 0, so two spellings gave one answer
+NONCANONICAL = ["+11", " 11", "011", "11 ", "1_1", "-0", ""]
+
+
+@pytest.mark.parametrize("text", NONCANONICAL)
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["fitt", "--in", fx("diag123.json"), "--index", None], "--index"),
+        (["fitt", "--in", fx("diag123.json"), "--index", "0", "--K", None], "--K"),
+        (["lambda-module", "specialize", "--in", fx("module.json"),
+          "--stratum", None, "--index", "0"], "--stratum"),
+        (["euler", "c-ideal", "--in", fx("c_elements.json"), "--index", "2",
+          "--m", None], "--m"),
+        (["euler", "simulate", "--shape", "1:", "--k", None], "--k"),
+        (["euler", "verify", "--shape", "1:", "--k", "4", "--seed", None], "--seed"),
+    ],
+)
+def test_noncanonical_integer_flags_are_usage_errors(argv, flag, text, capsys):
+    argv = [text if a is None else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"input error at {flag}:" in err
+
+
+@pytest.mark.parametrize("raw", NONCANONICAL)
+def test_noncanonical_seed_environment_is_a_usage_error(raw, capsys, monkeypatch):
+    monkeypatch.setenv("IWAFITT_SEED", raw)
+    code, out, err = run(["euler", "simulate", "--shape", "1:", "--k", "4"], capsys)
+    assert code == 2 and out == ""
+    assert "input error at env:IWAFITT_SEED:" in err
+
+
+def test_canonical_negative_seeds_still_work(capsys, monkeypatch):
+    argv = ["euler", "simulate", "--shape", "1:", "--k", "4"]
+    code, from_flag, _ = run(argv + ["--seed", "-3"], capsys)
+    monkeypatch.setenv("IWAFITT_SEED", "-3")
+    code_env, from_env, _ = run(argv, capsys)
+    assert code == code_env == 0 and from_flag == from_env
+    # the default pool for shape 1: is six generic labels with k_ell = 2k
+    pool = [AdmissiblePrimeLabel(i, 8) for i in (2, 3, 5, 7, 11, 13)]
+    data, _ = simulate_system(SelmerShape(1, ()), 4, pool, seed=-3, nu_max=1)
+    assert json.loads(from_flag) == data.to_dict()
+
+
 # ------------------------------------------------- formats and plumbing
 
 
@@ -510,7 +555,9 @@ def mutants(draw):
             at = argv.index(flag)
             del argv[at:at + 2]
         else:
-            argv += [flag, str(draw(st.integers(-2, 6)))]
+            text = draw(st.one_of(st.integers(-2, 6).map(str),
+                                  st.sampled_from(["+1", " 1", "01", "-0", "x"])))
+            argv += [flag, text]
     if "doc" in holder:
         argv += ["--in", json.dumps(holder["doc"])]
     return argv

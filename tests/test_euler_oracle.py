@@ -1,19 +1,25 @@
-"""Slow reference oracle for the index layer's checks.
+"""Slow reference oracles for the index layer's simulator and checks.
 
-The reference functions below rebuild index keys as strings for every
+The reference checks below rebuild index keys as strings for every
 localization pair and rescan every key once per stratum, exactly as the
-first implementation did. The library parses each key once and reads
-all stratum minima from one pass; these tests compare the two on
+first implementation did. The reference simulator finds each neighbour
+n*ell by sorting an id tuple. The library works on pool bitmasks and
+reads all stratum minima from one pass; these tests compare the two on
 simulated systems and on single-entry mutations of them.
 """
 
+import hashlib
+import random
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
-from iwafitt.errors import EmptyStratum
+from iwafitt.errors import EmptyStratum, PoolExhausted
 from iwafitt.euler import (
     AdmissiblePrimeLabel,
     EulerSystemData,
     SelmerShape,
+    SimState,
     partial_global,
     partial_j,
     partial_j_kappa,
@@ -27,6 +33,74 @@ IDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 # ------------------------------------------------------------ reference
+
+
+def ref_derive(seed, *parts):
+    text = "|".join(str(x) for x in (seed,) + parts)
+    return int(hashlib.sha256(text.encode()).hexdigest(), 16)
+
+
+def ref_simulate(shape, k, pool, seed, nu_max=None):
+    """The simulator on id tuples: n*ell is the sorted tuple n + (ell,)."""
+    if k < 1:
+        raise ValueError(f"ring length k must be >= 1, got {k}")
+    labels = sorted(pool)
+    if len({lab.ident for lab in labels}) != len(labels):
+        raise ValueError("pool ids must be distinct")
+    generic_count = sum(1 for lab in labels if lab.generic)
+    if nu_max is None:
+        nu_max = generic_count // 2
+    if generic_count < 2 * nu_max:
+        raise PoolExhausted(
+            f"need at least {2 * nu_max} generic labels for depth {nu_max}, "
+            f"have {generic_count}"
+        )
+    delta = random.Random(ref_derive(seed, "delta")).randint(0, min(k, 3))
+    epsilon = (shape.e + 1) % 2
+    data = EulerSystemData(epsilon, k, tuple(labels), delta)
+    states = {}
+    key_of = {}
+    for size in range(nu_max + 1):
+        for combo in combinations(labels, size):
+            ids = tuple(lab.ident for lab in combo)
+            key = ".".join(map(str, ids)) if ids else "1"
+            key_of[ids] = key
+            e_cur, d_cur = shape.e, list(shape.d)
+            for lab in combo:
+                if e_cur == 0 and d_cur:
+                    d_cur.pop(0)
+                if not lab.generic:
+                    prng = random.Random(
+                        ref_derive(seed, "perturb", key, lab.ident)
+                    )
+                    d_cur = sorted(
+                        (x + prng.randint(0, 1) for x in d_cur), reverse=True
+                    )
+                e_cur ^= 1
+            states[key] = SimState(e_cur, tuple(d_cur))
+            val = min([k] + [lab.k_ell for lab in combo])
+            data.i_n_val[key] = val
+            ind = min(k, val, delta + sum(d_cur))
+            if e_cur == 0:
+                data.ind_lambda[key] = ind
+            else:
+                data.ind_kappa[key] = ind
+    for ids, key in key_of.items():
+        if len(ids) >= nu_max:
+            break
+        ind_n = data.ind_lambda.get(key)
+        for lab in labels:
+            ident = lab.ident
+            if ident in ids:
+                continue
+            m_key = key_of[tuple(sorted(ids + (ident,)))]
+            val_m = data.i_n_val[m_key]
+            if ind_n is not None:
+                data.loc_ord[(m_key, ident)] = min(ind_n, val_m)
+            else:
+                ind_m = data.ind_lambda[m_key]
+                data.loc_unr[(key, ident)] = ind_m if ind_m < val_m else k
+    return data, states
 
 
 def ref_ids(key):
@@ -139,20 +213,27 @@ def outcome(fn, *args):
 
 
 @st.composite
-def systems(draw):
+def sim_inputs(draw, ids=IDS, max_nongeneric=2):
+    """(shape, k, pool, seed, nu_max) with enough generic labels for nu_max."""
     e = draw(st.integers(0, 1))
     d = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=2)), reverse=True))
     shape = SelmerShape(e, d)
     nu_max = draw(st.integers(0, min(4, 2 * len(shape.d) + e + 1)))
     k = draw(st.integers(1, 6))
     generic = draw(st.integers(max(2 * nu_max, 2), 8))
-    nongeneric = draw(st.integers(0, 2))
-    ids = draw(st.permutations(IDS))[: generic + nongeneric]
+    nongeneric = draw(st.integers(0, max_nongeneric))
+    picked = draw(st.permutations(ids))[: generic + nongeneric]
     pool = [
         AdmissiblePrimeLabel(ident, draw(st.integers(1, k + 2)), n < generic)
-        for n, ident in enumerate(ids)
+        for n, ident in enumerate(picked)
     ]
     seed = draw(st.integers(0, 2**32 - 1))
+    return shape, k, pool, seed, nu_max
+
+
+@st.composite
+def systems(draw):
+    shape, k, pool, seed, nu_max = draw(sim_inputs())
     data, _ = simulate_system(shape, k, pool, seed=seed, nu_max=nu_max)
     return shape, k, data
 
@@ -185,6 +266,26 @@ def test_library_matches_oracle_on_simulated_systems(case):
 
 
 MAPS = ("ind_lambda", "ind_kappa", "i_n_val", "loc_ord", "loc_unr")
+FOREIGN = (31, 101)  # outside IDS, so in no pool that systems() draws
+LONER = 211  # named by one loc_unr pair and nowhere else
+
+# ids of one to four digits, whose string order differs from their
+# numeric order; the pool comes unsorted and holds up to 3 nongeneric
+# labels, whose seeded bumps hash the string key
+SIM_IDS = IDS + (97, 101, 1009)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_inputs(SIM_IDS, 3), st.booleans())
+def test_simulator_matches_tuple_reference(case, default_depth):
+    shape, k, pool, seed, nu_max = case
+    nu = None if default_depth else nu_max
+    data, states = simulate_system(shape, k, pool, seed=seed, nu_max=nu)
+    want, want_states = ref_simulate(shape, k, pool, seed, nu)
+    assert data == want and states == want_states
+    for name in MAPS:
+        assert list(getattr(data, name)) == list(getattr(want, name)), name
+    assert list(states) == list(want_states)
 
 
 @settings(max_examples=400, deadline=None)
@@ -196,16 +297,25 @@ def test_library_matches_oracle_on_single_entry_mutations(case, choice):
     name = choice.draw(st.sampled_from(MAPS))
     table = getattr(data, name)
     if kind == "foreign_pair" or not table:
-        # a pair whose prime id is absent from (loc_ord) or already in
-        # (loc_unr) its key; the ids may lie outside the pool
+        # a pair on a stored key, or on a canonical key with an id from
+        # outside the pool inserted in order ("101", "2.3.101"), whose
+        # prime id is in or out of its key. from_dict accepts all of
+        # these, so the library must number ids it meets only here.
         key = choice.draw(st.sampled_from(sorted(data.i_n_val)))
         have = ref_ids(key)
+        if choice.draw(st.booleans()):
+            have = sorted(have + [choice.draw(st.sampled_from(FOREIGN))])
+            key = ref_key(have)
         value = choice.draw(st.integers(0, k + 1))
-        if choice.draw(st.booleans()) or not have:
-            outside = [i for i in IDS + (31, 101) if i not in have]
-            data.loc_ord[(key, choice.draw(st.sampled_from(outside)))] = value
+        side = choice.draw(st.sampled_from(("loc_ord", "loc_unr")))
+        outside = [i for i in IDS + FOREIGN if i not in have]
+        if side == "loc_unr":
+            outside.append(LONER)
+        if have and choice.draw(st.booleans()):
+            ident = choice.draw(st.sampled_from(have))
         else:
-            data.loc_unr[(key, choice.draw(st.sampled_from(have)))] = value
+            ident = choice.draw(st.sampled_from(outside))
+        getattr(data, side)[(key, ident)] = value
     else:
         entry = choice.draw(st.sampled_from(sorted(table)))
         if kind == "delete":
