@@ -16,6 +16,7 @@ import argparse
 import sys
 from collections import Counter
 
+from iwafitt.errors import InputError, read_decimal
 from iwafitt.euler import (
     AdmissiblePrimeLabel,
     SelmerShape,
@@ -30,6 +31,14 @@ POOL_IDS = (
 )
 
 
+def decimal(text: str) -> int:
+    """An integer flag written as str writes it; "+3" and "03" are refused."""
+    try:
+        return read_decimal(text, "flag")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
+
+
 def build_pool(size, k_ell, nongeneric):
     if size > len(POOL_IDS):
         raise SystemExit(f"pool size capped at {len(POOL_IDS)}")
@@ -42,12 +51,12 @@ def build_pool(size, k_ell, nongeneric):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--shape", default="0:2,1", help='shape "e:d0,d1,..." (default 0:2,1)')
-    ap.add_argument("--k", type=int, default=6, help="ambient exponent (default 6)")
-    ap.add_argument("--runs", type=int, default=100, help="number of seeds (default 100)")
-    ap.add_argument("--seed0", type=int, default=0, help="first seed (default 0)")
-    ap.add_argument("--pool-size", type=int, help="labels in the pool (default: depth-driven)")
-    ap.add_argument("--k-ell", type=int, help="per-label exponent (default 2k, admissible)")
-    ap.add_argument("--nongeneric", type=int, default=0, help="mark this many labels nongeneric")
+    ap.add_argument("--k", type=decimal, default=6, help="ambient exponent (default 6)")
+    ap.add_argument("--runs", type=decimal, default=100, help="number of seeds (default 100)")
+    ap.add_argument("--seed0", type=decimal, default=0, help="first seed (default 0)")
+    ap.add_argument("--pool-size", type=decimal, help="labels in the pool (default: depth-driven)")
+    ap.add_argument("--k-ell", type=decimal, help="per-label exponent (default 2k, admissible)")
+    ap.add_argument("--nongeneric", type=decimal, default=0, help="mark this many labels nongeneric")
     args = ap.parse_args(argv)
 
     shape = SelmerShape.from_string(args.shape)

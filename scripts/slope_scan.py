@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from iwafitt.errors import SupportCollision
+from iwafitt.errors import InputError, SupportCollision, read_decimal
 from iwafitt.ideals import (
     ElementaryLambdaModule,
     HeightOnePrime,
@@ -34,6 +34,14 @@ DEFAULT_MODULE = {
         {"prime": {"dist": [3, 1]}, "exponents": [2]},
     ],
 }
+
+
+def decimal(text: str) -> int:
+    """An integer flag written as str writes it; "+3" and "03" are refused."""
+    try:
+        return read_decimal(text, "flag")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
 
 
 def parse_prime(text: str, p: int) -> HeightOnePrime:
@@ -77,9 +85,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--module", help="module JSON, inline or a file path")
     ap.add_argument("--prime", help='tower prime: "PI" or coefficients c0,...,1')
-    ap.add_argument("--index", type=int, default=0, help="Fitting index (default 0)")
-    ap.add_argument("--lo", type=int, default=3, help="first level (default 3)")
-    ap.add_argument("--hi", type=int, default=10, help="last level (default 10)")
+    ap.add_argument("--index", type=decimal, default=0, help="Fitting index (default 0)")
+    ap.add_argument("--lo", type=decimal, default=3, help="first level (default 3)")
+    ap.add_argument("--hi", type=decimal, default=10, help="last level (default 10)")
     args = ap.parse_args(argv)
 
     E, p = load_module(args.module)

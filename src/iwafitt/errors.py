@@ -79,8 +79,9 @@ def read_int(value, path: str, lo: int | None = None, hi: int | None = None) -> 
 def check_index(value, lo: int = 0, what: str = "index") -> int:
     """A library argument that must be an integer >= lo.
 
-    The one check behind every Fitting index and divisor exponent; bools,
-    floats and strings are refused like negatives, with ValueError.
+    The one check behind every Fitting index, divisor exponent and series
+    parameter p, K, m; bools, floats and strings are refused like
+    negatives, with ValueError.
     """
     if type(value) is not int or value < lo:
         raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")

@@ -216,6 +216,11 @@ class EulerSystemData:
             AdmissiblePrimeLabel.from_dict(p, f"{path}.pool[{i}]")
             for i, p in enumerate(read_list(doc.get("pool", []), f"{path}.pool"))
         )
+        seen = set()
+        for i, lab in enumerate(pool):
+            if lab.ident in seen:
+                raise InputError("pool ids must be distinct", f"{path}.pool[{i}].id")
+            seen.add(lab.ident)
         delta_sim = doc.get("delta_sim")
         if delta_sim is not None:
             read_int(delta_sim, f"{path}.delta_sim")

@@ -20,12 +20,15 @@ principal-kind oracle ``minor_fitting_exponent``. It works on plain
 coefficient tuples mod p^K (length m for series, length 1 for the
 principal kinds), packed into one integer each so that a Laplace term
 is one integer product, and reduces once per minor; only the distinct
-generators kept are built as series. The DVR kind also gets the
+generators kept are built as series. It keeps one minor table, for the
+last matrix it enumerated, so a Fitting chain over the series ring
+evaluates each minor once. The DVR kind also gets the
 elementary-divisor reading of a torsion cokernel.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -212,12 +215,24 @@ class FittingIdealResult:
         return {"index": self.index, "exponent": self.exponent}
 
 
+# The minor table of the last matrix enumerated: (weakref to M, packed
+# rows, q, m, w, memo). One slot, so it never holds more than one matrix,
+# and the weakref's callback empties it when that matrix dies.
+_table = None
+
+
+def _drop_table(ref) -> None:
+    global _table
+    if _table is not None and _table[0] is ref:
+        _table = None
+
+
 def _minors(M: PresentationMatrix, r: int):
     """Yield every r x r minor of M, row subsets outer, column subsets inner.
 
     A minor is a coefficient tuple mod p^K: length m over the series
     ring, length 1 over the principal kinds. Laplace expansion along the
-    first row, memoized on (row-subset, col-subset) for this call only.
+    first row, memoized on (row-subset, col-subset).
 
     Each tuple c is packed into the integer sum c_k * 2^(w*k) (Kronecker
     substitution), so one integer product is a whole polynomial product.
@@ -225,19 +240,32 @@ def _minors(M: PresentationMatrix, r: int):
     entry's negation mod p^K. A slot of an unreduced sum then stays below
     cols * m * p^2K < 2^w, so no slot carries into the next, and each
     minor is reduced once, slot by slot, truncated at T^m.
+
+    The packed rows and the memo form one minor table per matrix, kept
+    in a single module-level slot keyed by a weak reference to M. The
+    width w depends only on (cols, m, p^K), so minors of every order
+    share the table, and a Fitting chain i = 0, 1, ... evaluates each
+    minor once. The table holds M's minors of all orders computed so far
+    for as long as M is alive: it is emptied when M dies, and replaced
+    when another matrix is enumerated. A generator keeps its own table
+    once started, and an early break leaves only finished minors in it.
     """
-    ring = M.ring
-    if ring.kind == "lambda":
-        m, entries = ring.m, [[e.coeffs for e in row] for row in M.entries]
-    else:
-        m, entries = 1, [[(e,) for e in row] for row in M.entries]
-    q = ring.modulus
-    w = (M.cols * m * q * q).bit_length()
-    rows = tuple(
-        tuple((_pack(cs, q, w), _pack([-c for c in cs], q, w)) for cs in row)
-        for row in entries
-    )
-    memo = {}
+    global _table
+    table = _table
+    if table is None or table[0]() is not M:
+        ring = M.ring
+        if ring.kind == "lambda":
+            m, entries = ring.m, [[e.coeffs for e in row] for row in M.entries]
+        else:
+            m, entries = 1, [[(e,) for e in row] for row in M.entries]
+        q = ring.modulus
+        w = (M.cols * m * q * q).bit_length()
+        rows = tuple(
+            tuple((_pack(cs, q, w), _pack([-c for c in cs], q, w)) for cs in row)
+            for row in entries
+        )
+        table = _table = (weakref.ref(M, _drop_table), rows, q, m, w, {})
+    _, rows, q, m, w, memo = table
     mask = (1 << w) - 1
     for rs in combinations(range(M.rows), r):
         for cs in combinations(range(M.cols), r):
@@ -253,7 +281,8 @@ def _laplace(rows, rs, cs, q: int, m: int, w: int, memo: dict) -> int:
     """The packed minor on rows rs and columns cs, reduced mod q below T^m.
 
     A plain recursive function rather than a closure, so the memo holds
-    no reference cycle and is freed as soon as the enumeration is dropped.
+    only integers keyed by index tuples: no reference cycle, and it is
+    freed by reference counting alone with its minor table.
     """
     if len(rs) == 1:
         return rows[rs[0]][cs[0]][0]
@@ -351,7 +380,9 @@ def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
                 gens[g] = None
     return FittingIdealResult(
         i, ring.kind,
-        generators=tuple(TruncatedSeries(ring.p, ring.K, ring.m, g) for g in gens),
+        generators=tuple(
+            TruncatedSeries._of_residues(ring.p, ring.K, ring.m, g) for g in gens
+        ),
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientPrecision, RingMismatch
+from .errors import InsufficientPrecision, RingMismatch, check_index
 
 __all__ = [
     "TruncatedSeries",
@@ -67,7 +67,8 @@ class TruncatedSeries:
     Coefficients are stored as canonical residues mod p^K, exactly m of
     them (index i is the T^i coefficient). Arithmetic truncates at T^m and
     reduces mod p^K, so the type is closed under ring operations at fixed
-    (p, K, m).
+    (p, K, m). p, K, m and every coefficient must be ``int``: bools,
+    floats and other integer-like types are refused with ValueError.
     """
 
     p: int
@@ -76,20 +77,33 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(self.coeffs) != self.m:
-            raise ValueError(
-                f"need exactly m={self.m} coefficients, got {len(self.coeffs)}"
-            )
-        q = self.p**self.K
-        object.__setattr__(self, "coeffs", tuple(c % q for c in self.coeffs))
+        p, K, m, coeffs = self.p, self.K, self.m, self.coeffs
+        if not (type(p) is type(K) is type(m) is int and p >= 2 and K >= 1 and m >= 1):
+            check_index(p, 2, "p")
+            check_index(K, 1, "K")
+            check_index(m, 1, "m")
+        if len(coeffs) != m:
+            raise ValueError(f"need exactly m={m} coefficients, got {len(coeffs)}")
+        if not {int}.issuperset(map(type, coeffs)):
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+        # int.__rmod__(q, c) is c % q, without a generator frame per coefficient
+        object.__setattr__(self, "coeffs", tuple(map((p**K).__rmod__, coeffs)))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of_residues(cls, p: int, K: int, m: int, coeffs: tuple) -> TruncatedSeries:
+        """Trusted constructor: a tuple of m ints already in [0, p^K).
+
+        Skips every check and the reduction of the public constructor, so
+        only kernels whose outputs are reduced by construction call it.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "K", K)
+        object.__setattr__(s, "m", m)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
 
     @classmethod
     def make(cls, p: int, K: int, m: int, coeffs) -> TruncatedSeries:
@@ -288,16 +302,6 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
     d = next(i for i, c in enumerate(g.coeffs) if c % p != 0)
 
     P = [0] * d + [1]  # coefficients of the monic candidate, degree d
-
-    def mul_mod_p_poly(a: list, b: list) -> list:
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % q
-        red = _monic_divmod(prod, P, q)[1]
-        return red + [0] * (d - len(red))
-
     w = None  # inverse of U mod (P, p^k), its precision doubling with P's
     for _ in range(Kp.bit_length() + 2):
         U, err = _monic_divmod(g.coeffs, P, q)
@@ -313,12 +317,11 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
                 acc = sum(ubar[t] * w[k - t] for t in range(1, k + 1))
                 w[k] = (-u0_inv * acc) % p
         # one step w <- w*(2 - U*w) per round keeps pace with the factor
-        corr = [(-c) % q for c in mul_mod_p_poly(ubar, w)]
-        corr[0] = (corr[0] + 2) % q
-        w = mul_mod_p_poly(w, corr)
-        delta = mul_mod_p_poly(err, w)
-        for t in range(d):
-            P[t] = (P[t] + delta[t]) % q
+        corr = [-c for c in _mul_mod_monic(ubar, w, P, q)]
+        corr[0] += 2
+        w = _mul_mod_monic(w, corr, P, q)
+        delta = _mul_mod_monic(err, w, P, q)
+        P[:d] = [(a + b) % q for a, b in zip(P, delta)]
     else:
         U, err = _monic_divmod(g.coeffs, P, q)
         if any(c != 0 for c in err):
@@ -326,8 +329,8 @@ def weierstrass_prepare(f: TruncatedSeries) -> WeierstrassForm:
 
     return WeierstrassForm(
         mu,
-        TruncatedSeries(p, Kp, m, tuple(P + [0] * (m - d - 1))),
-        TruncatedSeries(p, Kp, m, tuple(U)),
+        TruncatedSeries._of_residues(p, Kp, m, tuple(P + [0] * (m - d - 1))),
+        TruncatedSeries._of_residues(p, Kp, m, tuple(U)),
     )
 
 
@@ -353,28 +356,48 @@ def weierstrass_divide(
     f._compat(P)
     d = _distinguished_degree(P)
     quot, rem = _monic_divmod(f.coeffs, P.coeffs[: d + 1], f.modulus)
-    r = TruncatedSeries(f.p, f.K, f.m, tuple(rem) + (0,) * (f.m - d))
-    return TruncatedSeries(f.p, f.K, f.m, tuple(quot)), r
+    r = TruncatedSeries._of_residues(f.p, f.K, f.m, tuple(rem) + (0,) * (f.m - d))
+    return TruncatedSeries._of_residues(f.p, f.K, f.m, tuple(quot)), r
 
 
 def _monic_divmod(coeffs, P, q: int) -> tuple:
     """Top-down long division of a coefficient list by monic P, mod q.
 
     P lists its coefficients up to the leading 1, so deg P = len(P) - 1.
-    Returns (quotient, remainder) as lists: the quotient as long as the
-    dividend, the remainder of length deg P.
+    Returns (quotient, remainder) as lists of residues in [0, q): the
+    quotient as long as the dividend, the remainder of length deg P.
+    The dividend may be unreduced. Each step reduces only the leading
+    coefficient it divides out, and subtracts its multiple of P from the
+    d coefficients below it in one slice update; the remainder is reduced
+    once at the end. P is monic, so every quotient coefficient is the
+    same residue as under a reduction after each multiply-add.
     """
     d = len(P) - 1
+    low = P[:d]
     rem = list(coeffs)
     quot = [0] * len(rem)
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - d] = c
-        for t in range(d + 1):
-            rem[i - d + t] = (rem[i - d + t] - c * P[t]) % q
-    return quot, rem[:d]
+        c = rem[i] % q
+        if c:
+            j = i - d
+            quot[j] = c
+            rem[j:i] = [r - c * t for r, t in zip(rem[j:i], low)]
+    return quot, [r % q for r in rem[:d]]
+
+
+def _mul_mod_monic(a: list, b: list, P: list, q: int) -> list:
+    """a * b mod (P, q) for monic P, as a list of deg P residues.
+
+    The product is built from slice updates and left unreduced; the one
+    reduction is that of the remainder in ``_monic_divmod``.
+    """
+    n = len(b)
+    prod = [0] * (len(a) + n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[i : i + n] = [x + ai * y for x, y in zip(prod[i : i + n], b)]
+    red = _monic_divmod(prod, P, q)[1]
+    return red + [0] * (len(P) - 1 - len(red))
 
 
 def _distinguished_degree(P: TruncatedSeries) -> int:

@@ -293,6 +293,8 @@ def test_pool_ids_must_be_distinct_and_at_least_two(cmd, pool, capsys):
         ({"epsilon": 0, "k": 3, "loc_ord": {"2": {"x": 1}}}, "$.data.loc_ord.2.x"),
         ({"epsilon": 0, "k": 3, "ind_lambda": {"a.b": 1}}, "$.data.ind_lambda.a.b"),
         ({"epsilon": 0, "k": 3, "loc_unr": {"3.2": {"5": 1}}}, "$.data.loc_unr.3.2"),
+        ({"epsilon": 0, "k": 3, "pool": [{"id": 2}, {"id": 2, "k": 5}]},
+         "$.data.pool[1].id"),
     ],
 )
 def test_verify_refuses_noncanonical_system_data(doc, path, capsys):

@@ -3,6 +3,7 @@
 import gc
 import random
 import time
+import weakref
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as zz_snf
 
+from iwafitt import fitting
 from iwafitt.errors import InsufficientPrecision, NotTorsion, RingMismatch
 from iwafitt.fitting import (
     ElementaryDVRModule,
@@ -503,7 +505,47 @@ def test_series_generators_match_series_laplace_oracle(M):
         assert got == reference_series_generators(M, i)
 
 
-def test_minor_memo_is_freed_without_the_cycle_collector():
+def test_minor_table_interleaved_over_matrices():
+    T = [0, 1]
+    # row 0 holds no unit, so the first unit 2-minor sits at rows (1, 2):
+    # the early break leaves a partial table of A's 2-minors behind
+    A = PresentationMatrix.make(LAM, [
+        [[3], T, [3, 1]],
+        [[1], [3], T],
+        [[3, 3], [1], [0, 0, 1]],
+    ])
+    B = PresentationMatrix.make(LAM, [
+        [[3, 1], T, [0], [9, 2]],
+        [T, [3], [0, 0, 1], [3]],
+        [[0, 3], [9, 1], [3, 3], T],
+    ])
+    assert fitting_ideal(A, 1).generators[0].is_unit()
+    for M in (A, B, A):
+        for i in range(M.rows + 2):
+            got = [g.coeffs for g in fitting_ideal(M, i).generators]
+            assert got == reference_series_generators(M, i)
+    # two enumerations running at once each keep the table they started with
+    pairs = list(zip(fitting._minors(A, 2), fitting._minors(B, 2)))
+    assert pairs == list(zip(list(fitting._minors(A, 2)), list(fitting._minors(B, 2))))
+
+
+def test_minor_table_dies_with_its_matrix():
+    M = PresentationMatrix.make(LAM, [[[3, 1], [0, 1]], [[0, 1], [3, 3]]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(fitting_ideal(M, 0).generators) == 1
+        assert fitting._table[0]() is M
+        ref = weakref.ref(M)
+        del M
+        assert ref() is None
+        assert fitting._table is None
+    finally:
+        gc.enable()
+
+
+def test_minor_table_leaves_no_cycle_garbage():
+    # the table that outlives each call is freed by reference counting
     unit = PresentationMatrix.make(LAM, [[[3, 1], [1]], [[0, 1], [3]]])
     full = PresentationMatrix.make(LAM, [[[3, 1], [0, 1]], [[0, 1], [3, 3]]])
     D = dvr_matrix([[3, 1, 0], [0, 9, 3], [1, 0, 27]])

@@ -11,6 +11,8 @@ from iwafitt.ring import (
     SpecializationRing,
     TruncatedSeries,
     WeierstrassForm,
+    _monic_divmod,
+    _mul_mod_monic,
     padic_valuation,
     weierstrass_divide,
     weierstrass_prepare,
@@ -71,6 +73,19 @@ def test_series_shape_is_enforced():
         S(3, 4, 3, [1]) + S(3, 4, 4, [1])
 
 
+@pytest.mark.parametrize("args", [
+    (3, 2, 3, (1.5, 1, 2)),
+    (3, 2, 3, (1, True, 2)),
+    (3, 2, 3, (1, 1, sympy.Integer(2))),
+    (3.0, 2, 3, (1, 1, 2)),
+    (3, True, 3, (1, 1, 2)),
+    (3, 2, sympy.Integer(3), (1, 1, 2)),
+], ids=["float coeff", "bool coeff", "sympy coeff", "float p", "bool K", "sympy m"])
+def test_series_takes_ints_only(args):
+    with pytest.raises(ValueError):
+        TruncatedSeries(*args)
+
+
 def test_series_unit_inverse():
     u = S(3, 5, 6, [2, 7, 1, 0, 4, 9])
     assert u * u.inverse() == TruncatedSeries.one(3, 5, 6)
@@ -102,6 +117,7 @@ def test_prepare_cubic_against_product_oracle():
     T = sympy.symbols("T")
     expanded = sympy.Poly((2 + T) * (T**2 + 3), T).all_coeffs()[::-1]
     assert expanded == [6, 3, 2, 1]
+    expanded = [int(c) for c in expanded]  # the series takes ints only
     f = S(3, 6, 8, expanded)
     assert f == S(3, 6, 8, [6, 3, 2, 1])
     w = weierstrass_prepare(f)
@@ -163,16 +179,65 @@ def test_prepare_with_wraparound_keeps_recompose_contract():
     assert w.recompose(7) == f
 
 
-def _long_division(coeffs, P, q):
-    """Quotient and remainder of a coefficient list by monic P, mod q."""
+def ref_monic_divmod(coeffs, P, q):
+    """Slow oracle: long division by monic P, reducing after every step."""
     d = len(P) - 1
-    rem, quot = list(coeffs), [0] * len(coeffs)
+    rem = list(coeffs)
+    quot = [0] * len(rem)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
+        if c == 0:
+            continue
         quot[i - d] = c
         for t in range(d + 1):
             rem[i - d + t] = (rem[i - d + t] - c * P[t]) % q
     return quot, rem[:d]
+
+
+def ref_mul_mod_p_poly(a, b, P, q):
+    """Slow oracle: a * b mod (P, q), the product reduced at every term."""
+    d = len(P) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % q
+    red = ref_monic_divmod(prod, P, q)[1]
+    return red + [0] * (d - len(red))
+
+
+@st.composite
+def monic_division_inputs(draw):
+    """A dividend of length <= 64 mod p^K, K <= 70, and a monic divisor of
+    any degree up to that length; zero dividends and p-content included."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    K = draw(st.integers(1, 70))
+    q = p**K
+    n = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(("zero", "content", "plain", "plain")))
+    if shape == "zero":
+        f = [0] * n
+    else:
+        f = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+        if shape == "content":
+            mu = draw(st.integers(1, K))
+            f = [c * p**mu % q for c in f]
+    d = draw(st.integers(0, n))
+    P = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
+    b = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    return f, P, q, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_division_inputs())
+def test_reduce_once_kernels_match_reduce_every_step_oracles(inputs):
+    f, P, q, b = inputs
+    assert _monic_divmod(f, P, q) == ref_monic_divmod(f, P, q)
+    d = len(P) - 1
+    if d:
+        # weierstrass_prepare multiplies residues mod P: d coefficients each
+        a = (f + [0] * d)[:d]
+        assert _mul_mod_monic(a, b, P, q) == ref_mul_mod_p_poly(a, b, P, q)
 
 
 def reference_prepare(f):
@@ -190,27 +255,19 @@ def reference_prepare(f):
     d = next(i for i, c in enumerate(g.coeffs) if c % p)
     P = [0] * d + [1]
 
-    def mul_mod_P(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        red = _long_division([c % q for c in prod], P, q)[1]
-        return red + [0] * (d - len(red))
-
     for _ in range(Kp.bit_length() + 2):
-        U, err = _long_division(g.coeffs, P, q)
+        U, err = ref_monic_divmod(g.coeffs, P, q)
         if not any(err):
             break
-        ubar = _long_division(U, P, q)[1]
+        ubar = ref_monic_divmod(U, P, q)[1]
         w = [pow(ubar[0], -1, p)] + [0] * (d - 1)
         for k in range(1, d):
             w[k] = -w[0] * sum(ubar[t] * w[k - t] for t in range(1, k + 1)) % p
         for _ in range(Kp.bit_length() + 1):
-            corr = [-c % q for c in mul_mod_P(ubar, w)]
+            corr = [-c % q for c in ref_mul_mod_p_poly(ubar, w, P, q)]
             corr[0] = (corr[0] + 2) % q
-            w = mul_mod_P(w, corr)
-        delta = mul_mod_P(err, w)
+            w = ref_mul_mod_p_poly(w, corr, P, q)
+        delta = ref_mul_mod_p_poly(err, w, P, q)
         P = [(a + b) % q for a, b in zip(P, delta)] + [1]
     else:
         raise InsufficientPrecision("factor lift did not converge")

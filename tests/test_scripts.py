@@ -11,18 +11,33 @@ import pytest
 ROOT = pathlib.Path(__file__).parents[1]
 
 
+def _run(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/slope_scan.py"],
     ["scripts/sim_stats.py", "--runs", "5"],
 ], ids=["slope_scan", "sim_stats"])
 def test_script_runs_from_a_checkout(argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
-        env=env, timeout=120,
-    )
+    proc = _run(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["scripts/slope_scan.py", "--index", "01"], "--index"),
+    (["scripts/sim_stats.py", "--k", "+3", "--runs", "1"], "--k"),
+], ids=["slope_scan", "sim_stats"])
+def test_script_refuses_a_noncanonical_integer_flag(argv, flag):
+    proc = _run(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"argument {flag}: must be a canonical decimal integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):
