@@ -15,8 +15,9 @@ Examples:
 import argparse
 import sys
 from collections import Counter
+from functools import partial
 
-from iwafitt.errors import InputError, read_decimal
+from iwafitt.errors import InputError, read_decimal, read_int
 from iwafitt.euler import (
     AdmissiblePrimeLabel,
     SelmerShape,
@@ -31,17 +32,23 @@ POOL_IDS = (
 )
 
 
-def decimal(text: str) -> int:
-    """An integer flag written as str writes it; "+3" and "03" are refused."""
+def decimal(text: str, lo: int | None = None, hi: int | None = None) -> int:
+    """An integer flag in [lo, hi] written as str writes it; "+3" and "03"
+    are refused."""
     try:
-        return read_decimal(text, "flag")
+        return read_int(read_decimal(text, "flag"), "flag", lo, hi)
     except InputError as exc:
         raise argparse.ArgumentTypeError(exc.message) from None
 
 
+def shape_flag(text: str) -> SelmerShape:
+    try:
+        return SelmerShape.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_pool(size, k_ell, nongeneric):
-    if size > len(POOL_IDS):
-        raise SystemExit(f"pool size capped at {len(POOL_IDS)}")
     return tuple(
         AdmissiblePrimeLabel(ident, k_ell=k_ell, generic=(n >= nongeneric))
         for n, ident in enumerate(POOL_IDS[:size])
@@ -50,24 +57,43 @@ def build_pool(size, k_ell, nongeneric):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--shape", default="0:2,1", help='shape "e:d0,d1,..." (default 0:2,1)')
-    ap.add_argument("--k", type=decimal, default=6, help="ambient exponent (default 6)")
-    ap.add_argument("--runs", type=decimal, default=100, help="number of seeds (default 100)")
+    ap.add_argument("--shape", type=shape_flag, default="0:2,1",
+                    help='shape "e:d0,d1,..." (default 0:2,1)')
+    ap.add_argument("--k", type=partial(decimal, lo=1), default=6,
+                    help="ambient exponent (default 6)")
+    ap.add_argument("--runs", type=partial(decimal, lo=1), default=100,
+                    help="number of seeds (default 100)")
     ap.add_argument("--seed0", type=decimal, default=0, help="first seed (default 0)")
-    ap.add_argument("--pool-size", type=decimal, help="labels in the pool (default: depth-driven)")
-    ap.add_argument("--k-ell", type=decimal, help="per-label exponent (default 2k, admissible)")
-    ap.add_argument("--nongeneric", type=decimal, default=0, help="mark this many labels nongeneric")
+    ap.add_argument("--pool-size", type=partial(decimal, lo=1, hi=len(POOL_IDS)),
+                    help="labels in the pool (default: depth-driven)")
+    ap.add_argument("--k-ell", type=partial(decimal, lo=1),
+                    help="per-label exponent (default 2k, admissible)")
+    ap.add_argument("--nongeneric", type=partial(decimal, lo=0), default=0,
+                    help="mark this many labels nongeneric")
     args = ap.parse_args(argv)
 
-    shape = SelmerShape.from_string(args.shape)
+    shape = args.shape
     # Sharpness: strata must reach twice the length of d (plus e) before
     # the observed lower bounds pin delta down.
     nu_max = 2 * len(shape.d) + shape.e
     # Nongeneric labels do not count toward the generic-depth floor.
     if args.pool_size is not None:
         size = args.pool_size
+        if args.nongeneric > size:
+            ap.error(f"argument --nongeneric: must be at most the pool size {size}")
+        if size - args.nongeneric < 2 * nu_max:
+            ap.error(
+                f"argument --pool-size: depth {nu_max} needs {2 * nu_max} "
+                f"generic labels, the pool has {size - args.nongeneric}"
+            )
     else:
         size = max(6, 2 * nu_max) + args.nongeneric
+        if size > len(POOL_IDS):
+            flag = "--nongeneric" if args.nongeneric else "--shape"
+            ap.error(
+                f"argument {flag}: depth {nu_max} with {args.nongeneric} nongeneric "
+                f"labels needs a pool of {size}, at most {len(POOL_IDS)} exist"
+            )
     k_ell = args.k_ell if args.k_ell is not None else 2 * args.k
     pool = build_pool(size, k_ell, args.nongeneric)
 

@@ -16,8 +16,10 @@ Examples:
 import argparse
 import json
 import sys
+from functools import partial
 
-from iwafitt.errors import InputError, SupportCollision, read_decimal
+from iwafitt.errors import (InputError, SupportCollision, parse_decimal, read_decimal,
+                            read_int, read_obj)
 from iwafitt.ideals import (
     ElementaryLambdaModule,
     HeightOnePrime,
@@ -36,24 +38,31 @@ DEFAULT_MODULE = {
 }
 
 
-def decimal(text: str) -> int:
-    """An integer flag written as str writes it; "+3" and "03" are refused."""
+def decimal(text: str, lo: int | None = None) -> int:
+    """An integer flag >= lo written as str writes it; "+3" and "03" are
+    refused."""
     try:
-        return read_decimal(text, "flag")
+        return read_int(read_decimal(text, "flag"), "flag", lo)
     except InputError as exc:
         raise argparse.ArgumentTypeError(exc.message) from None
 
 
 def parse_prime(text: str, p: int) -> HeightOnePrime:
+    """"PI", a {"dist": [...]} object, or coefficients c0,...,1, each a
+    canonical decimal; ValueError or InputError otherwise."""
     if text == "PI":
         return HeightOnePrime.pi(p)
     if text.lstrip().startswith("{"):
         return HeightOnePrime.from_dict(json.loads(text), p)
-    coeffs = [int(c) for c in text.split(",")]
+    coeffs = [parse_decimal(c) for c in text.split(",")]
+    if None in coeffs:
+        raise ValueError(f"coefficients must be canonical decimal integers, got {text!r}")
     return HeightOnePrime.polynomial(p, coeffs)
 
 
 def load_module(arg) -> ElementaryLambdaModule:
+    """The --module flag, inline JSON or a file path; OSError, ValueError
+    or InputError when it cannot be read."""
     if arg is None:
         doc = DEFAULT_MODULE
     elif arg.lstrip().startswith("{"):
@@ -61,7 +70,7 @@ def load_module(arg) -> ElementaryLambdaModule:
     else:
         with open(arg, encoding="utf-8") as fh:
             doc = json.load(fh)
-    inner = doc.get("module", doc)  # accept the CLI's wrapped layout too
+    inner = read_obj(doc, "$").get("module", doc)  # accept the CLI's wrapped layout too
     return ElementaryLambdaModule.from_dict(inner), inner.get("p", doc.get("p", 3))
 
 
@@ -85,18 +94,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--module", help="module JSON, inline or a file path")
     ap.add_argument("--prime", help='tower prime: "PI" or coefficients c0,...,1')
-    ap.add_argument("--index", type=decimal, default=0, help="Fitting index (default 0)")
-    ap.add_argument("--lo", type=decimal, default=3, help="first level (default 3)")
+    ap.add_argument("--index", type=partial(decimal, lo=0), default=0,
+                    help="Fitting index (default 0)")
+    ap.add_argument("--lo", type=partial(decimal, lo=1), default=3,
+                    help="first level (default 3)")
     ap.add_argument("--hi", type=decimal, default=10, help="last level (default 10)")
     args = ap.parse_args(argv)
 
-    E, p = load_module(args.module)
-    if args.lo < 1 or args.hi < args.lo:
-        ap.error("need 1 <= lo <= hi")
+    try:
+        E, p = load_module(args.module)
+    except (OSError, ValueError, InputError) as exc:
+        ap.error(f"argument --module: {exc}")
+    if args.hi < args.lo:
+        ap.error(f"argument --hi: must be at least --lo {args.lo}")
     window = range(args.lo, args.hi + 1)
 
     if args.prime is not None:
-        scan(E, parse_prime(args.prime, p), args.index, window)
+        try:
+            P = parse_prime(args.prime, p)
+        except (ValueError, InputError) as exc:
+            ap.error(f"argument --prime: {exc}")
+        scan(E, P, args.index, window)
         return 0
 
     # No prime given: scan every prime in the module's support.

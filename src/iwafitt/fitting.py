@@ -20,10 +20,12 @@ principal-kind oracle ``minor_fitting_exponent``. It works on plain
 coefficient tuples mod p^K (length m for series, length 1 for the
 principal kinds), packed into one integer each so that a Laplace term
 is one integer product, and reduces once per minor; only the distinct
-generators kept are built as series. It keeps one minor table, for the
-last matrix it enumerated, so a Fitting chain over the series ring
-evaluates each minor once. The DVR kind also gets the
-elementary-divisor reading of a torsion cokernel.
+generators kept are built as series. One module-level slot holds what
+is known of the last matrix read: its minor table, so a Fitting chain
+over the series ring evaluates each minor once, and over the principal
+kinds its verified Smith exponents, so a chain and ``dvr_structure``
+diagonalize it once. The DVR kind also gets the elementary-divisor
+reading of a torsion cokernel.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .errors import (InputError, InsufficientPrecision, NotTorsion, RingMismatch,
                      check_index, read_int, read_ints, read_list, read_obj)
@@ -96,7 +99,12 @@ def _coerce_entry(ring: RingDescriptor, value, path: str = "$"):
 
 @dataclass(frozen=True)
 class PresentationMatrix:
-    """An n x k_rel relation matrix presenting coker(R^k_rel -> R^n)."""
+    """An n x k_rel relation matrix presenting coker(R^k_rel -> R^n).
+
+    ``entries`` is stored as a tuple of row tuples whatever sequences it
+    was given as: the minor table and Smith exponents kept for a matrix
+    object must not go stale when a caller mutates a row it still holds.
+    """
 
     ring: RingDescriptor
     rows: int
@@ -104,6 +112,9 @@ class PresentationMatrix:
     entries: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "entries", tuple(tuple(row) for row in self.entries)
+        )
         if self.rows < 0 or self.cols < 0:
             raise RingMismatch("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows:
@@ -215,9 +226,10 @@ class FittingIdealResult:
         return {"index": self.index, "exponent": self.exponent}
 
 
-# The minor table of the last matrix enumerated: (weakref to M, packed
-# rows, q, m, w, memo). One slot, so it never holds more than one matrix,
-# and the weakref's callback empties it when that matrix dies.
+# What is known of the last matrix read: [weakref to M, minor table
+# (packed rows, q, m, w, memo) or None, Smith exponents or None]. One
+# slot, so it never holds more than one matrix, each part is filled on
+# first use, and the weakref's callback empties it when that matrix dies.
 _table = None
 
 
@@ -225,6 +237,22 @@ def _drop_table(ref) -> None:
     global _table
     if _table is not None and _table[0] is ref:
         _table = None
+
+
+def _slot(M: PresentationMatrix) -> list:
+    """The slot for M, started empty if it held another matrix."""
+    global _table
+    if _table is None or _table[0]() is not M:
+        _table = [weakref.ref(M, _drop_table), None, None]
+    return _table
+
+
+def _smith_exponents(M: PresentationMatrix) -> tuple:
+    """M's Smith exponents, K-padded, from one verified diagonalization."""
+    slot = _slot(M)
+    if slot[2] is None:
+        slot[2] = smith_normal_form(M, allow_zero_block=True).exponents
+    return slot[2]
 
 
 def _minors(M: PresentationMatrix, r: int):
@@ -242,17 +270,18 @@ def _minors(M: PresentationMatrix, r: int):
     minor is reduced once, slot by slot, truncated at T^m.
 
     The packed rows and the memo form one minor table per matrix, kept
-    in a single module-level slot keyed by a weak reference to M. The
-    width w depends only on (cols, m, p^K), so minors of every order
-    share the table, and a Fitting chain i = 0, 1, ... evaluates each
-    minor once. The table holds M's minors of all orders computed so far
-    for as long as M is alive: it is emptied when M dies, and replaced
-    when another matrix is enumerated. A generator keeps its own table
-    once started, and an early break leaves only finished minors in it.
+    in the single module-level slot keyed by a weak reference to M, next
+    to the Smith exponents; neither part drops the other. The width w
+    depends only on (cols, m, p^K), so minors of every order share the
+    table, and a Fitting chain i = 0, 1, ... evaluates each minor once.
+    The table holds M's minors of all orders computed so far for as long
+    as M is alive: it is emptied when M dies, and replaced when another
+    matrix is read. A generator keeps its own table once started, and an
+    early break leaves only finished minors in it.
     """
-    global _table
-    table = _table
-    if table is None or table[0]() is not M:
+    slot = _slot(M)
+    table = slot[1]
+    if table is None:
         ring = M.ring
         if ring.kind == "lambda":
             m, entries = ring.m, [[e.coeffs for e in row] for row in M.entries]
@@ -264,8 +293,8 @@ def _minors(M: PresentationMatrix, r: int):
             tuple((_pack(cs, q, w), _pack([-c for c in cs], q, w)) for cs in row)
             for row in entries
         )
-        table = _table = (weakref.ref(M, _drop_table), rows, q, m, w, {})
-    _, rows, q, m, w, memo = table
+        table = slot[1] = (rows, q, m, w, {})
+    rows, q, m, w, memo = table
     mask = (1 << w) - 1
     for rs in combinations(range(M.rows), r):
         for cs in combinations(range(M.cols), r):
@@ -318,8 +347,7 @@ def _minor_valuation(M: PresentationMatrix, r: int) -> int:
 
 def _smith_valuation(M: PresentationMatrix, r: int) -> int:
     """Sum of the r smallest invariant exponents, capped at K."""
-    exps = smith_normal_form(M, allow_zero_block=True).exponents
-    return min(M.ring.K, sum(exps[:r]))
+    return min(M.ring.K, sum(_smith_exponents(M)[:r]))
 
 
 def _principal_exponent(M: PresentationMatrix, i: int, valuation):
@@ -356,9 +384,9 @@ def fitting_ideal(M: PresentationMatrix, i: int) -> FittingIdealResult:
     count) and the zero ideal once the minor order exceeds both matrix
     dimensions. Over the principal kinds invertible row and column
     operations leave the minor ideals unchanged, so the exponent is read
-    from the Smith form: the sum of the r smallest invariant exponents,
-    capped at K. Over the series ring the minors themselves are the
-    generators.
+    from the Smith form, computed once per matrix: the sum of the r
+    smallest invariant exponents, capped at K. Over the series ring the
+    minors themselves are the generators.
     """
     check_index(i)
     ring = M.ring
@@ -402,9 +430,33 @@ class SmithCertificate:
     right: tuple
 
     def verifies(self, M: PresentationMatrix) -> bool:
+        """Whether this certifies M's Smith form, every part checked.
+
+        D must be n x k, zero off the diagonal, with p^e mod p^K in slot
+        t for the t-th of the min(n, k) non-decreasing exponents in
+        [0, K]; U and V must be square with a unit determinant; and
+        U A V must equal D. Without the determinant check a zero U (with
+        D = 0) would certify any matrix.
+        """
         p, K = M.ring.p, M.ring.K
         q = p**K
         n, k = M.rows, M.cols
+        exps = self.exponents
+        if (
+            len(exps) != min(n, k)
+            or any(not 0 <= e <= K for e in exps)
+            or any(a > b for a, b in zip(exps, exps[1:]))
+            or len(self.diagonal) != n
+            or any(len(row) != k for row in self.diagonal)
+            or any(
+                d != (p ** exps[i] % q if i == j else 0)
+                for i, row in enumerate(self.diagonal)
+                for j, d in enumerate(row)
+            )
+            or not _unit_determinant(self.left, n, p)
+            or not _unit_determinant(self.right, k, p)
+        ):
+            return False
         UA = [
             [
                 sum(self.left[i][t] * M.entries[t][j] for t in range(n)) % q
@@ -424,6 +476,28 @@ class SmithCertificate:
             for i in range(n)
             for j in range(k)
         )
+
+
+def _unit_determinant(rows, n: int, p: int) -> bool:
+    """Whether rows form an n x n matrix invertible mod p^K.
+
+    That is, its reduction mod p has full rank: elimination there finds
+    a pivot prime to p in every column.
+    """
+    if len(rows) != n or any(len(row) != n for row in rows):
+        return False
+    A = [[e % p for e in row] for row in rows]
+    for t in range(n):
+        piv = next((i for i in range(t, n) if gcd(A[i][t], p) == 1), None)
+        if piv is None:
+            return False
+        A[t], A[piv] = A[piv], A[t]
+        inv = pow(A[t][t], -1, p)
+        for i in range(t + 1, n):
+            if A[i][t]:
+                c = A[i][t] * inv
+                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[t])]
+    return True
 
 
 def smith_normal_form(
@@ -548,14 +622,14 @@ def dvr_structure(
             f"{M.rows - M.cols} generator(s) have no relation column; "
             "the cokernel has a free summand"
         )
-    cert = smith_normal_form(M, allow_zero_block=True)
+    exps = _smith_exponents(M)
     K = M.ring.K
-    if not assume_torsion and any(e >= K for e in cert.exponents):
+    if not assume_torsion and any(e >= K for e in exps):
         raise NotTorsion(
             f"a divisor exponent reached the precision cap K={K}; "
             "pass assume_torsion to accept it"
         )
-    return ElementaryDVRModule(tuple(e for e in cert.exponents if e > 0))
+    return ElementaryDVRModule(tuple(e for e in exps if e > 0))
 
 
 def fitting_from_structure(E: ElementaryDVRModule, i: int) -> int:

@@ -1,5 +1,6 @@
 """Minor enumeration, diagonalization, and the structure formulas."""
 
+import dataclasses
 import gc
 import random
 import time
@@ -169,6 +170,50 @@ def test_snf_over_zp_mod_pk():
     assert cert.exponents == (1, 2, 4)
     with pytest.raises(InsufficientPrecision):
         smith_normal_form(M)
+
+
+def _bumped(mat, q):
+    """mat with its first entry raised by 1 mod q."""
+    first = ((mat[0][0] + 1) % q,) + mat[0][1:]
+    return (first,) + mat[1:]
+
+
+@pytest.mark.parametrize("p,entries,cols", [
+    (3, [[3, 1], [9, 27]], 2),  # square
+    (3, [[3, 1, 0], [0, 9, 3]], 3),  # wide
+    (3, [[9, 3], [1, 0], [0, 27]], 2),  # tall
+    (2, [], 3),  # no rows: only V has entries
+    (2, [[], []], 0),  # no columns: only U has entries
+], ids=["square", "wide", "tall", "zero_rows", "zero_cols"])
+def test_snf_certificate_rejects_one_changed_entry(p, entries, cols):
+    K = 5
+    q = p**K
+    ring = RingDescriptor("dvr", p, K)
+    M = PresentationMatrix(ring, len(entries), cols, tuple(map(tuple, entries)))
+    cert = smith_normal_form(M)
+    assert cert.verifies(M)
+    changed = 0
+    for part in ("left", "diagonal", "right"):
+        mat = getattr(cert, part)
+        if not mat or not mat[0]:
+            continue
+        bad = dataclasses.replace(cert, **{part: _bumped(mat, q)})
+        assert not bad.verifies(M), part
+        changed += 1
+    assert changed == (3 if entries and cols else 1)
+
+
+def test_snf_certificate_rejects_singular_transforms_and_wrong_exponents():
+    M = dvr_matrix([[3, 1], [9, 27]])
+    cert = smith_normal_form(M)
+    zero = ((0, 0), (0, 0))
+    # a zero U with D = 0 satisfies U A V = D for any A
+    assert not dataclasses.replace(cert, left=zero, diagonal=zero).verifies(M)
+    assert not dataclasses.replace(cert, right=zero, diagonal=zero).verifies(M)
+    # the exponents a Fitting chain reads must match the diagonal
+    assert cert.exponents == (0, 2)
+    for exps in ((0, 3), (2, 0), (0,), (0, 2, 2)):
+        assert not dataclasses.replace(cert, exponents=exps).verifies(M)
 
 
 # ---------------------------------------------------------------- structure
@@ -562,6 +607,78 @@ def test_minor_table_leaves_no_cycle_garbage():
         gc.enable()
 
 
+def _count_smith_calls(monkeypatch):
+    calls = []
+    real = fitting.smith_normal_form
+
+    def counted(M, *args, **kwargs):
+        calls.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "smith_normal_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["dvr", "Zp_mod_pk"])
+def test_smith_slot_diagonalizes_once_per_chain(monkeypatch, kind):
+    calls = _count_smith_calls(monkeypatch)
+    ring = RingDescriptor(kind, 3, 6)
+    M = PresentationMatrix.make(ring, [[3, 1, 0], [0, 9, 3], [1, 0, 27]])
+    if kind == "dvr":
+        assert dvr_structure(M).exponents == (1,)
+    chain = [exp_of(M, i) for i in range(M.rows + 2)]
+    assert chain == [minor_fitting_exponent(M, i) for i in range(M.rows + 2)]
+    assert chain == [1, 0, 0, 0, 0]
+    assert len(calls) == 1
+    # the public routine stays uncached: a fresh verified certificate each call
+    assert smith_normal_form(M) is not smith_normal_form(M)
+
+
+def test_smith_slot_interleaved_over_matrices():
+    A = dvr_matrix([[3, 1, 0], [0, 9, 3], [1, 0, 27]])
+    B = PresentationMatrix.make(
+        RingDescriptor("Zp_mod_pk", 2, 5), [[4, 2], [8, 0], [0, 16]]
+    )
+    C = dvr_matrix([[9, 0], [3, 27]], RingDescriptor("dvr", 3, 3))
+    for M in (A, B, A, C, B, C):
+        for i in range(M.rows + 2):
+            assert exp_of(M, i) == minor_fitting_exponent(M, i), (M, i)
+
+
+@pytest.mark.parametrize("oracle_first", [True, False])
+def test_smith_slot_and_minor_table_share_the_slot(oracle_first):
+    M = dvr_matrix([[3, 1, 0], [0, 9, 3], [1, 0, 27]])
+    fresh = dvr_matrix([list(row) for row in M.entries])
+    want = [minor_fitting_exponent(fresh, i) for i in range(M.rows + 1)]
+    for step in ((0, 1) if oracle_first else (1, 0)):
+        got = [
+            minor_fitting_exponent(M, i) if step == 0 else exp_of(M, i)
+            for i in range(M.rows + 1)
+        ]
+        assert got == want
+    # each part was filled once and neither dropped the other
+    assert fitting._table[0]() is M
+    assert fitting._table[1] is not None and fitting._table[2] == (0, 0, 1)
+
+
+def test_smith_slot_dies_with_its_matrix():
+    M = dvr_matrix([[3, 1, 0], [0, 9, 3], [1, 0, 27]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert dvr_structure(M).exponents == (1,)
+        assert exp_of(M, 0) == 1
+        assert gc.collect() == 0
+        assert fitting._table[0]() is M and fitting._table[2] == (0, 0, 1)
+        ref = weakref.ref(M)
+        del M
+        assert ref() is None
+        assert fitting._table is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------------- JSON
 
 
@@ -595,6 +712,22 @@ def test_matrix_from_dict_reports_paths():
     with pytest.raises(InputError) as e:
         PresentationMatrix.from_dict([1, 2])
     assert e.value.json_path == "$"
+
+
+def test_matrix_rows_cannot_change_after_construction():
+    # the slot keyed by the matrix object must not serve a stale answer
+    ring = RingDescriptor("lambda", 3, 4, 2)
+    row = [TruncatedSeries.make(3, 4, 2, [3, 0])]
+    M = PresentationMatrix(ring, 1, 1, (row,))
+    assert fitting_ideal(M, 0).to_dict()["generators"] == [[3, 0]]
+    row[0] = TruncatedSeries.make(3, 4, 2, [9, 1])
+    assert M.entries == ((TruncatedSeries.make(3, 4, 2, [3, 0]),),)
+    assert fitting_ideal(M, 0).to_dict()["generators"] == [[3, 0]]
+    fresh = PresentationMatrix(ring, 1, 1, (row,))
+    assert fitting_ideal(fresh, 0).to_dict()["generators"] == [[9, 1]]
+    # the principal kinds hold their rows the same way
+    D = PresentationMatrix(DVR, 1, 2, ([3, 9],))
+    assert D.entries == ((3, 9),) and exp_of(D, 0) == 1
 
 
 def test_entry_coercion_rejects_cross_ring():

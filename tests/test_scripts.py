@@ -40,6 +40,30 @@ def test_script_refuses_a_noncanonical_integer_flag(argv, flag):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["scripts/slope_scan.py", "--prime", "+3,01"], "--prime"),
+    (["scripts/slope_scan.py", "--index", "-1"], "--index"),
+    (["scripts/slope_scan.py", "--prime", "3,2"], "--prime"),
+    (["scripts/slope_scan.py", "--module", "{bad"], "--module"),
+    (["scripts/sim_stats.py", "--runs", "-1"], "--runs"),
+    (["scripts/sim_stats.py", "--runs", "0"], "--runs"),
+    (["scripts/sim_stats.py", "--shape", "x"], "--shape"),
+    (["scripts/sim_stats.py", "--pool-size", "4", "--runs", "1"], "--pool-size"),
+    (["scripts/sim_stats.py", "--pool-size", "19", "--runs", "1"], "--pool-size"),
+    (["scripts/sim_stats.py", "--nongeneric", "-1", "--runs", "1"], "--nongeneric"),
+], ids=[
+    "slope_scan_signed_prime", "slope_scan_negative_index", "slope_scan_nonmonic_prime",
+    "slope_scan_bad_module",
+    "sim_stats_negative_runs", "sim_stats_zero_runs", "sim_stats_bad_shape",
+    "sim_stats_shallow_pool", "sim_stats_pool_past_ids", "sim_stats_negative_nongeneric",
+])
+def test_script_refuses_a_flag_out_of_range(argv, flag):
+    proc = _run(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"error: argument {flag}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_benchmark_trace_targets_exist(monkeypatch):
     # the benchmark's --trace run wraps these library attributes by name,
     # so deleting or renaming one breaks it; its own tests sit outside tier 1
